@@ -1,187 +1,201 @@
 #include "cypress/decompress.hpp"
 
-#include <optional>
-
 #include "support/error.hpp"
 
 namespace cypress::core {
 
 namespace {
 
-class Replayer {
- public:
-  Replayer(const MergedCtt& m, int rank) : m_(m), rank_(rank) {
-    const int n = m.cst().numNodes();
-    loopCur_.resize(static_cast<size_t>(n));
-    takenCur_.resize(static_cast<size_t>(n));
-    leaf_.resize(static_cast<size_t>(n));
-    for (int g = 0; g < n; ++g) {
-      if (const SectionSeq* s = seqFor(m.loopEntries(g)))
-        loopCur_[static_cast<size_t>(g)].emplace(*s);
-      if (const SectionSeq* s = seqFor(m.takenEntries(g)))
-        takenCur_[static_cast<size_t>(g)].emplace(*s);
-      for (const LeafEntry& e : m.leafEntries(g)) {
-        if (e.ranks.contains(rank)) {
-          LeafCursor& c = leaf_[static_cast<size_t>(g)];
-          c.entry = &e;
-          c.execCursor.emplace(e.execOrdinals);
-          for (const CommRecord& rec : e.records) {
-            c.recs.push_back(RecState{rec.ordinals.cursor(),
-                                      rec.matchedSources.empty()
-                                          ? std::optional<SectionSeq::Cursor>()
-                                          : std::optional<SectionSeq::Cursor>(
-                                                rec.matchedSources.cursor()),
-                                      &rec});
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  std::vector<trace::Event> run() {
-    replay(m_.cst().root());
-    checkDrained();
-    return std::move(out_);
-  }
-
- private:
-  struct RecState {
-    SectionSeq::Cursor ord;
-    std::optional<SectionSeq::Cursor> matched;
-    const CommRecord* rec;
-  };
-  struct LeafCursor {
-    const LeafEntry* entry = nullptr;
-    uint64_t nextOrdinal = 0;
-    std::optional<SectionSeq::Cursor> execCursor;
-    std::vector<RecState> recs;
-  };
-
-  const SectionSeq* seqFor(const std::vector<SeqEntry>& entries) const {
-    for (const SeqEntry& e : entries)
-      if (e.ranks.contains(rank_)) return &e.seq;
-    return nullptr;
-  }
-
-  void emitNext(const cst::Node* leaf) {
-    LeafCursor& c = leaf_[static_cast<size_t>(leaf->gid)];
-    CYP_CHECK(c.entry != nullptr,
-              "decompress: rank " << rank_ << " has no records at gid "
-                                  << leaf->gid);
-    // Select the record whose next occurrence ordinal is now.
-    const int64_t n = static_cast<int64_t>(c.nextOrdinal++);
-    RecState* state = nullptr;
-    for (RecState& rs : c.recs) {
-      if (!rs.ord.done() && rs.ord.peek() == n) {
-        state = &rs;
-        break;
-      }
-    }
-    CYP_CHECK(state != nullptr,
-              "decompress: no record covers occurrence " << n << " at gid "
-                                                         << leaf->gid);
-    state->ord.next();
-    const CommRecord& rec = *state->rec;
-
-    trace::Event e;
-    e.op = rec.op;
-    e.peer = rec.peer.decode(rank_);
-    e.bytes = rec.bytes;
-    e.tag = rec.tag;
-    e.comm = rec.comm;
-    e.callSiteId = rec.callSiteId;
-    e.reqId = rec.reqSite;
-    if (state->matched.has_value()) {
-      e.matchedSource = static_cast<int32_t>(state->matched->next()) + rank_;
-    }
-    e.durationNs = static_cast<uint64_t>(rec.duration.mean());
-    e.computeNs = static_cast<uint64_t>(rec.compute.mean());
-    out_.push_back(e);
-  }
-
-  void replay(const cst::Node* n) {
-    const uint64_t g = exec(n)++;
-    for (const auto& childPtr : n->children) {
-      const cst::Node* child = childPtr.get();
-      switch (child->kind) {
-        case cst::NodeKind::Comm: {
-          // Emit every occurrence recorded for this execution of the
-          // enclosing region (exactly one for ordinary leaves; zero or
-          // several for partial-completion ops and recursion unwinds).
-          LeafCursor& lc = leaf_[static_cast<size_t>(child->gid)];
-          while (lc.execCursor.has_value() && !lc.execCursor->done() &&
-                 lc.execCursor->peek() == static_cast<int64_t>(g)) {
-            lc.execCursor->next();
-            emitNext(child);
-          }
-          break;
-        }
-        case cst::NodeKind::Loop: {
-          auto& cur = loopCur_[static_cast<size_t>(child->gid)];
-          CYP_CHECK(cur.has_value() && !cur->done(),
-                    "decompress: missing loop activation at gid " << child->gid);
-          const int64_t iters = cur->next();
-          for (int64_t k = 0; k < iters; ++k) replay(child);
-          break;
-        }
-        case cst::NodeKind::Branch: {
-          auto& cur = takenCur_[static_cast<size_t>(child->gid)];
-          while (cur.has_value() && !cur->done() &&
-                 cur->peek() == static_cast<int64_t>(g)) {
-            cur->next();
-            replay(child);
-          }
-          break;
-        }
-        case cst::NodeKind::Call:
-          replay(child);
-          break;
-        case cst::NodeKind::Root:
-          CYP_FAIL("nested root in CST");
-      }
-    }
-  }
-
-  uint64_t& exec(const cst::Node* n) {
-    if (exec_.size() < static_cast<size_t>(m_.cst().numNodes()))
-      exec_.resize(static_cast<size_t>(m_.cst().numNodes()), 0);
-    return exec_[static_cast<size_t>(n->gid)];
-  }
-
-  void checkDrained() const {
-    const int n = m_.cst().numNodes();
-    for (int g = 0; g < n; ++g) {
-      const auto& lc = loopCur_[static_cast<size_t>(g)];
-      CYP_CHECK(!lc.has_value() || lc->done(),
-                "decompress: loop activations left over at gid " << g);
-      const auto& tc = takenCur_[static_cast<size_t>(g)];
-      CYP_CHECK(!tc.has_value() || tc->done(),
-                "decompress: branch outcomes left over at gid " << g);
-      const LeafCursor& c = leaf_[static_cast<size_t>(g)];
-      CYP_CHECK(!c.execCursor.has_value() || c.execCursor->done(),
-                "decompress: leaf occurrences left over at gid " << g);
-      for (const RecState& rs : c.recs) {
-        CYP_CHECK(rs.ord.done(), "decompress: records left over at gid " << g);
-        CYP_CHECK(!rs.matched.has_value() || rs.matched->done(),
-                  "decompress: matched sources left over at gid " << g);
-      }
-    }
-  }
-
-  const MergedCtt& m_;
-  int rank_;
-  std::vector<std::optional<SectionSeq::Cursor>> loopCur_;
-  std::vector<std::optional<SectionSeq::Cursor>> takenCur_;
-  std::vector<LeafCursor> leaf_;
-  std::vector<uint64_t> exec_;
-  std::vector<trace::Event> out_;
-};
+const SectionSeq* seqFor(const std::vector<SeqEntry>& entries, int rank) {
+  for (const SeqEntry& e : entries)
+    if (e.ranks.contains(rank)) return &e.seq;
+  return nullptr;
+}
 
 }  // namespace
 
+CompressedCursor::CompressedCursor(const MergedCtt& m, int rank)
+    : m_(&m), rank_(rank) {
+  const int n = m.cst().numNodes();
+  loopCur_.resize(static_cast<size_t>(n));
+  takenCur_.resize(static_cast<size_t>(n));
+  leaf_.resize(static_cast<size_t>(n));
+  execCount_.assign(static_cast<size_t>(n), 0);
+  for (int g = 0; g < n; ++g) {
+    if (const SectionSeq* s = seqFor(m.loopEntries(g), rank))
+      loopCur_[static_cast<size_t>(g)].emplace(*s);
+    if (const SectionSeq* s = seqFor(m.takenEntries(g), rank))
+      takenCur_[static_cast<size_t>(g)].emplace(*s);
+    for (const LeafEntry& e : m.leafEntries(g)) {
+      if (e.ranks.contains(rank)) {
+        LeafCursor& c = leaf_[static_cast<size_t>(g)];
+        c.entry = &e;
+        c.execCursor.emplace(e.execOrdinals);
+        for (const CommRecord& rec : e.records) {
+          c.recs.push_back(RecState{
+              rec.ordinals.cursor(),
+              rec.matchedSources.empty()
+                  ? std::optional<SectionSeq::Cursor>()
+                  : std::optional<SectionSeq::Cursor>(
+                        rec.matchedSources.cursor()),
+              &rec});
+        }
+        break;
+      }
+    }
+  }
+  push(m.cst().root());
+}
+
+void CompressedCursor::push(const cst::Node* n) {
+  Frame f;
+  f.node = n;
+  f.exec = execCount_[static_cast<size_t>(n->gid)]++;
+  stack_.push_back(f);
+}
+
+void CompressedCursor::fillEvent(const cst::Node* leaf) {
+  LeafCursor& c = leaf_[static_cast<size_t>(leaf->gid)];
+  CYP_CHECK(c.entry != nullptr, "decompress: rank "
+                                    << rank_ << " has no records at gid "
+                                    << leaf->gid);
+  const int64_t n = static_cast<int64_t>(c.nextOrdinal++);
+  RecState* state = nullptr;
+  for (RecState& rs : c.recs) {
+    if (!rs.ord.done() && rs.ord.peek() == n) {
+      state = &rs;
+      break;
+    }
+  }
+  CYP_CHECK(state != nullptr, "decompress: no record covers occurrence "
+                                  << n << " at gid " << leaf->gid);
+  state->ord.next();
+  const CommRecord& rec = *state->rec;
+
+  trace::Event& e = buf_;
+  e = trace::Event{};
+  e.op = rec.op;
+  e.peer = rec.peer.decode(rank_);
+  e.bytes = rec.bytes;
+  e.tag = rec.tag;
+  e.comm = rec.comm;
+  e.callSiteId = rec.callSiteId;
+  e.reqId = rec.reqSite;
+  if (state->matched.has_value()) {
+    e.matchedSource = static_cast<int32_t>(state->matched->next()) + rank_;
+  }
+  e.durationNs = static_cast<uint64_t>(rec.duration.mean());
+  e.computeNs = static_cast<uint64_t>(rec.compute.mean());
+  hasEvent_ = true;
+  ++emitted_;
+}
+
+void CompressedCursor::advance() {
+  while (!stack_.empty()) {
+    Frame& f = stack_.back();
+    const cst::Node* n = f.node;
+    if (f.child >= n->children.size()) {
+      stack_.pop_back();
+      continue;
+    }
+    const cst::Node* child = n->children[f.child].get();
+    switch (child->kind) {
+      case cst::NodeKind::Comm: {
+        LeafCursor& lc = leaf_[static_cast<size_t>(child->gid)];
+        if (lc.execCursor.has_value() && !lc.execCursor->done() &&
+            lc.execCursor->peek() == static_cast<int64_t>(f.exec)) {
+          lc.execCursor->next();
+          fillEvent(child);
+          return;  // pause: one event buffered
+        }
+        ++f.child;
+        break;
+      }
+      case cst::NodeKind::Loop: {
+        if (!f.pendingValid) {
+          auto& cur = loopCur_[static_cast<size_t>(child->gid)];
+          CYP_CHECK(cur.has_value() && !cur->done(),
+                    "decompress: missing loop activation at gid "
+                        << child->gid);
+          const int64_t iters = cur->next();
+          CYP_CHECK(iters >= 0, "decompress: negative iteration count at gid "
+                                    << child->gid);
+          f.pending = static_cast<uint64_t>(iters);
+          f.pendingValid = true;
+        }
+        if (f.pending > 0) {
+          --f.pending;
+          push(child);  // invalidates f; loop re-reads stack_.back()
+        } else {
+          f.pendingValid = false;
+          ++f.child;
+        }
+        break;
+      }
+      case cst::NodeKind::Branch: {
+        auto& cur = takenCur_[static_cast<size_t>(child->gid)];
+        if (cur.has_value() && !cur->done() &&
+            cur->peek() == static_cast<int64_t>(f.exec)) {
+          cur->next();
+          push(child);
+        } else {
+          ++f.child;
+        }
+        break;
+      }
+      case cst::NodeKind::Call:
+        // Visited exactly once: step past it before descending.
+        ++f.child;
+        push(child);  // invalidates f
+        break;
+      case cst::NodeKind::Root:
+        CYP_FAIL("nested root in CST");
+    }
+  }
+  checkDrained();
+  finished_ = true;
+}
+
+void CompressedCursor::checkDrained() const {
+  const int n = m_->cst().numNodes();
+  for (int g = 0; g < n; ++g) {
+    const auto& lc = loopCur_[static_cast<size_t>(g)];
+    CYP_CHECK(!lc.has_value() || lc->done(),
+              "decompress: loop activations left over at gid " << g);
+    const auto& tc = takenCur_[static_cast<size_t>(g)];
+    CYP_CHECK(!tc.has_value() || tc->done(),
+              "decompress: branch outcomes left over at gid " << g);
+    const LeafCursor& c = leaf_[static_cast<size_t>(g)];
+    CYP_CHECK(!c.execCursor.has_value() || c.execCursor->done(),
+              "decompress: leaf occurrences left over at gid " << g);
+    for (const RecState& rs : c.recs) {
+      CYP_CHECK(rs.ord.done(), "decompress: records left over at gid " << g);
+      CYP_CHECK(!rs.matched.has_value() || rs.matched->done(),
+                "decompress: matched sources left over at gid " << g);
+    }
+  }
+}
+
+size_t CompressedCursor::memoryBytes() const {
+  size_t bytes = sizeof(*this);
+  bytes += loopCur_.capacity() * sizeof(loopCur_[0]);
+  bytes += takenCur_.capacity() * sizeof(takenCur_[0]);
+  bytes += execCount_.capacity() * sizeof(uint64_t);
+  bytes += stack_.capacity() * sizeof(Frame);
+  bytes += leaf_.capacity() * sizeof(LeafCursor);
+  for (const LeafCursor& c : leaf_)
+    bytes += c.recs.capacity() * sizeof(RecState);
+  return bytes;
+}
+
 std::vector<trace::Event> decompressRank(const MergedCtt& m, int rank) {
-  return Replayer(m, rank).run();
+  std::vector<trace::Event> out;
+  CompressedCursor c(m, rank);
+  while (!c.done()) {
+    out.push_back(c.peek());
+    c.next();
+  }
+  return out;
 }
 
 trace::RawTrace decompressAll(const MergedCtt& m, int numRanks) {

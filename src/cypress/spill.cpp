@@ -1,9 +1,11 @@
 #include "cypress/spill.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "flate/flate.hpp"
 #include "support/error.hpp"
+#include "trace/segment_log.hpp"
 
 namespace cypress::core {
 
@@ -20,18 +22,11 @@ constexpr uint8_t kBatchSegment = 0;
 constexpr uint8_t kMergeSegment = 1;
 constexpr uint8_t kFinalSegment = 2;
 
-std::string checkedStr(ByteReader& r) {
-  const uint64_t n = r.checkedCount(r.uv(), 1);
-  return std::string(reinterpret_cast<const char*>(r.raw(n).data()), n);
-}
-
-void frameSegment(ByteWriter& w, uint8_t kind,
-                  std::span<const uint8_t> payload) {
-  w.u8(kind);
-  w.uv(payload.size());
-  w.u32fixed(flate::crc32(payload));
-  w.raw(payload);
-}
+constexpr trace::SegmentLogFormat kSpillFormat{"spill", "CYSP", 1,
+                                               kSealSegment};
+// Header fields: version | numRanks | budgetBytes | maxBatchRanks.
+constexpr trace::SegmentLogFormat kManifestFormat{"manifest", "CYM1", 4,
+                                                  kFinalSegment};
 
 }  // namespace
 
@@ -39,8 +34,8 @@ SpillSink::SpillSink(io::IoBackend& io, const std::string& path)
     : file_(io.openWrite(path)) {
   chunk_.reserve(kSpillChunkBytes);
   ByteWriter h;
-  h.str("CYSP");
-  h.uv(kSpillVersion);
+  const uint64_t header[] = {kSpillVersion};
+  trace::writeSegmentHeader(h, kSpillFormat, header);
   file_->write(h.bytes());
 }
 
@@ -53,7 +48,7 @@ void SpillSink::flushChunk() {
                     : flate::crc32Combine(totals_.crc, chunkCrc, chunk_.size());
   totals_.bytes += chunk_.size();
   ByteWriter seg;
-  frameSegment(seg, kChunkSegment, chunk_);
+  trace::frameSegment(seg, kChunkSegment, chunk_);
   file_->write(seg.bytes());
   chunk_.clear();
 }
@@ -78,7 +73,7 @@ SpillSink::Totals SpillSink::seal() {
   seal.uv(totals_.bytes);
   seal.u32fixed(totals_.crc);
   ByteWriter seg;
-  frameSegment(seg, kSealSegment, seal.bytes());
+  trace::frameSegment(seg, kSealSegment, seal.bytes());
   file_->write(seg.bytes());
   file_->sync();
   file_->close();
@@ -94,35 +89,31 @@ void writeSpill(io::IoBackend& io, const std::string& path,
 
 std::vector<uint8_t> parseSpill(std::span<const uint8_t> file) {
   ByteReader r(file);
-  CYP_CHECK(r.str() == "CYSP", "spill: bad magic");
-  const uint64_t version = r.uv();
+  const uint64_t version = trace::readSegmentHeader(r, kSpillFormat)[0];
   CYP_CHECK(version == kSpillVersion, "spill: unsupported version " << version);
 
   std::vector<uint8_t> data;
   bool sealed = false;
-  while (!r.atEnd()) {
-    CYP_CHECK(!sealed, "spill: segment after seal");
-    const uint8_t kind = r.u8();
-    CYP_CHECK(kind <= kSealSegment, "spill: unknown segment kind " << int(kind));
-    const uint64_t len = r.uv();
-    const uint32_t crc = r.u32fixed();
-    std::span<const uint8_t> payload = r.raw(len);
-    CYP_CHECK(flate::crc32(payload) == crc, "spill: segment CRC mismatch");
-    if (kind == kChunkSegment) {
-      r.chargeAlloc(payload.size());
-      data.insert(data.end(), payload.begin(), payload.end());
-    } else {
-      ByteReader p(payload);
-      const uint64_t totalBytes = p.uv();
-      const uint32_t totalCrc = p.u32fixed();
-      CYP_CHECK(p.atEnd(), "spill: trailing bytes in seal");
-      CYP_CHECK(totalBytes == data.size(),
-                "spill: seal declares " << totalBytes << " bytes, chunks hold "
-                                        << data.size());
-      CYP_CHECK(totalCrc == flate::crc32(data), "spill: stream CRC mismatch");
-      sealed = true;
-    }
-  }
+  trace::walkSegments(
+      r, kSpillFormat, trace::WalkMode::Strict,
+      [&](uint8_t kind, std::span<const uint8_t> payload) {
+        CYP_CHECK(!sealed, "spill: segment after seal");
+        if (kind == kChunkSegment) {
+          r.chargeAlloc(payload.size());
+          data.insert(data.end(), payload.begin(), payload.end());
+          return;
+        }
+        ByteReader p(payload);
+        const uint64_t totalBytes = p.uv();
+        const uint32_t totalCrc = p.u32fixed();
+        CYP_CHECK(p.atEnd(), "spill: trailing bytes in seal");
+        CYP_CHECK(totalBytes == data.size(),
+                  "spill: seal declares " << totalBytes
+                                          << " bytes, chunks hold "
+                                          << data.size());
+        CYP_CHECK(totalCrc == flate::crc32(data), "spill: stream CRC mismatch");
+        sealed = true;
+      });
   CYP_CHECK(sealed, "spill: unsealed (incomplete checkpoint)");
   return data;
 }
@@ -144,35 +135,12 @@ bool spillIntact(io::IoBackend& io, const std::string& path,
 
 ManifestWriter::ManifestWriter(io::IoBackend& io, const std::string& path,
                                const MergePlanKey& key, bool resume)
-    : io_(io) {
-  bool fresh = true;
-  if (io_.exists(path) && io_.fileSize(path) > 0) fresh = false;
-  CYP_CHECK(fresh || resume,
-            "manifest: " << path << " already exists; pass --resume to "
-                         << "continue the interrupted merge or remove its "
-                         << "work directory to start fresh");
-  file_ = io_.openWrite(path, /*append=*/true);
-  if (fresh) {
-    ByteWriter h;
-    h.str("CYM1");
-    h.uv(kManifestVersion);
-    h.uv(key.numRanks);
-    h.uv(key.budgetBytes);
-    h.uv(key.maxBatchRanks);
-    file_->write(h.bytes());
-    file_->sync();
-  }
-}
-
-void ManifestWriter::segment(uint8_t kind, const ByteWriter& payload) {
-  ByteWriter w;
-  frameSegment(w, kind, payload.bytes());
-  // One write + fsync per segment: a checkpoint that has not reached
-  // the platter is not a checkpoint.
-  file_->write(w.bytes());
-  file_->sync();
-  ++segments_;
-}
+    : log_(io, path, kManifestFormat,
+           std::array<uint64_t, 4>{kManifestVersion, key.numRanks,
+                                   key.budgetBytes, key.maxBatchRanks},
+           resume,
+           "pass --resume to continue the interrupted merge or remove its "
+           "work directory to start fresh") {}
 
 void ManifestWriter::appendBatch(const BatchRecord& b) {
   ByteWriter p;
@@ -183,7 +151,7 @@ void ManifestWriter::appendBatch(const BatchRecord& b) {
   p.uv(b.fileBytes);
   p.u32fixed(b.fileCrc);
   b.lostRanks.serialize(p);
-  segment(kBatchSegment, p);
+  log_.append(kBatchSegment, p);
 }
 
 void ManifestWriter::appendMerge(const MergeRecord& m) {
@@ -193,7 +161,7 @@ void ManifestWriter::appendMerge(const MergeRecord& m) {
   p.str(m.file);
   p.uv(m.fileBytes);
   p.u32fixed(m.fileCrc);
-  segment(kMergeSegment, p);
+  log_.append(kMergeSegment, p);
 }
 
 void ManifestWriter::appendFinal(const FinalRecord& f) {
@@ -201,75 +169,64 @@ void ManifestWriter::appendFinal(const FinalRecord& f) {
   p.str(f.outPath);
   p.uv(f.bytes);
   p.u32fixed(f.crc);
-  segment(kFinalSegment, p);
+  log_.append(kFinalSegment, p);
 }
 
 namespace {
 
 ManifestRecovery readManifest(std::span<const uint8_t> data, bool strict) {
   ByteReader r(data);
-  CYP_CHECK(r.str() == "CYM1", "manifest: bad magic");
-  const uint64_t version = r.uv();
-  CYP_CHECK(version == kManifestVersion,
-            "manifest: unsupported version " << version);
+  const std::vector<uint64_t> header =
+      trace::readSegmentHeader(r, kManifestFormat);
+  CYP_CHECK(header[0] == kManifestVersion,
+            "manifest: unsupported version " << header[0]);
   ManifestRecovery out;
-  out.key.numRanks = r.uv();
-  out.key.budgetBytes = r.uv();
-  out.key.maxBatchRanks = r.uv();
+  out.key.numRanks = header[1];
+  out.key.budgetBytes = header[2];
+  out.key.maxBatchRanks = header[3];
   CYP_CHECK(out.key.numRanks >= 1 && out.key.numRanks <= (1u << 22),
             "manifest: implausible rank count " << out.key.numRanks);
 
-  while (!r.atEnd()) {
-    const size_t segStart = r.pos();
-    try {
-      const uint8_t kind = r.u8();
-      CYP_CHECK(kind <= kFinalSegment,
-                "manifest: unknown segment kind " << int(kind));
-      const uint64_t len = r.uv();
-      const uint32_t crc = r.u32fixed();
-      std::span<const uint8_t> payload = r.raw(len);
-      CYP_CHECK(flate::crc32(payload) == crc, "manifest: segment CRC mismatch");
-      CYP_CHECK(!out.final.has_value(), "manifest: segment after FINAL");
-
-      ByteReader p(payload);
-      if (kind == kBatchSegment) {
-        BatchRecord b;
-        b.batchIndex = p.uv();
-        b.firstRank = static_cast<int>(p.uv());
-        b.rankCount = static_cast<int>(p.uv());
-        b.file = checkedStr(p);
-        b.fileBytes = p.uv();
-        b.fileCrc = p.u32fixed();
-        b.lostRanks = RankSet::deserialize(p);
-        CYP_CHECK(p.atEnd(), "manifest: trailing bytes in batch segment");
-        CYP_CHECK(b.batchIndex == out.batches.size(),
-                  "manifest: batch " << b.batchIndex << " out of order");
-        CYP_CHECK(b.rankCount >= 1, "manifest: empty batch");
-        out.batches.push_back(std::move(b));
-      } else if (kind == kMergeSegment) {
-        MergeRecord m;
-        m.round = p.uv();
-        m.pairIndex = p.uv();
-        m.file = checkedStr(p);
-        m.fileBytes = p.uv();
-        m.fileCrc = p.u32fixed();
-        CYP_CHECK(p.atEnd(), "manifest: trailing bytes in merge segment");
-        out.merges.push_back(std::move(m));
-      } else {
-        FinalRecord f;
-        f.outPath = checkedStr(p);
-        f.bytes = p.uv();
-        f.crc = p.u32fixed();
-        CYP_CHECK(p.atEnd(), "manifest: trailing bytes in final segment");
-        out.final = std::move(f);
-      }
-      ++out.segmentsRecovered;
-    } catch (const Error&) {
-      if (strict) throw;
-      out.bytesDiscarded = data.size() - segStart;
-      return out;
+  auto visit = [&](uint8_t kind, std::span<const uint8_t> payload) {
+    CYP_CHECK(!out.final.has_value(), "manifest: segment after FINAL");
+    ByteReader p(payload);
+    if (kind == kBatchSegment) {
+      BatchRecord b;
+      b.batchIndex = p.uv();
+      b.firstRank = static_cast<int>(p.uv());
+      b.rankCount = static_cast<int>(p.uv());
+      b.file = p.str();
+      b.fileBytes = p.uv();
+      b.fileCrc = p.u32fixed();
+      b.lostRanks = RankSet::deserialize(p);
+      CYP_CHECK(p.atEnd(), "manifest: trailing bytes in batch segment");
+      CYP_CHECK(b.batchIndex == out.batches.size(),
+                "manifest: batch " << b.batchIndex << " out of order");
+      CYP_CHECK(b.rankCount >= 1, "manifest: empty batch");
+      out.batches.push_back(std::move(b));
+    } else if (kind == kMergeSegment) {
+      MergeRecord m;
+      m.round = p.uv();
+      m.pairIndex = p.uv();
+      m.file = p.str();
+      m.fileBytes = p.uv();
+      m.fileCrc = p.u32fixed();
+      CYP_CHECK(p.atEnd(), "manifest: trailing bytes in merge segment");
+      out.merges.push_back(std::move(m));
+    } else {
+      FinalRecord f;
+      f.outPath = p.str();
+      f.bytes = p.uv();
+      f.crc = p.u32fixed();
+      CYP_CHECK(p.atEnd(), "manifest: trailing bytes in final segment");
+      out.final = std::move(f);
     }
-  }
+  };
+  const trace::SegmentWalk walk = trace::walkSegments(
+      r, kManifestFormat,
+      strict ? trace::WalkMode::Strict : trace::WalkMode::Salvage, visit);
+  out.segmentsRecovered = walk.segments;
+  out.bytesDiscarded = walk.bytesDiscarded;
   return out;
 }
 
@@ -285,34 +242,13 @@ ManifestRecovery parseManifest(std::span<const uint8_t> data) {
 
 std::optional<ManifestRecovery> recoverManifestFile(io::IoBackend& io,
                                                     const std::string& path) {
-  if (!io.exists(path)) return std::nullopt;
-  const auto bytes = io.readAll(path);
-  if (bytes.empty()) return std::nullopt;
-
-  // A kill can land mid-write of the header itself; any prefix shorter
-  // than the fixed magic+version is a torn fresh manifest. The header's
-  // plan-key varints make longer prefixes self-checking: a torn key
-  // fails the plausibility check below and is treated the same way.
-  try {
-    ManifestRecovery rec = recoverManifest(bytes);
-    if (rec.bytesDiscarded > 0)
-      io.truncate(path, bytes.size() - rec.bytesDiscarded);
-    return rec;
-  } catch (const Error&) {
-    // Unusable header. If it is a strict prefix of a valid CYM1 header
-    // the process died writing it — truncate to empty and start over;
-    // anything else is a foreign file we refuse to clobber.
-    ByteWriter magic;
-    magic.str("CYM1");
-    const auto& m = magic.bytes();
-    const bool tornHeader =
-        bytes.size() < m.size() + 4 * 10 &&
-        std::equal(bytes.begin(),
-                   bytes.begin() + std::min(bytes.size(), m.size()), m.begin());
-    CYP_CHECK(tornHeader, "manifest: " << path << " is not a CYM1 manifest");
-    io.truncate(path, 0);
-    return std::nullopt;
-  }
+  std::optional<ManifestRecovery> rec;
+  trace::recoverSegmentFile(io, path, kManifestFormat,
+                            [&](std::span<const uint8_t> bytes) {
+                              rec = recoverManifest(bytes);
+                              return rec->bytesDiscarded;
+                            });
+  return rec;
 }
 
 }  // namespace cypress::core

@@ -3,16 +3,15 @@
 //
 // The memory-bounded streaming merge (cypress/merge_stream.hpp) keeps
 // at most a batch of ranks in RAM and parks every intermediate merged
-// CTT on disk. Both on-disk forms follow the CYJ1 discipline — CRC
-// framing so any torn byte is detectable, plus an explicit
-// completeness marker — because both are written on the crash path by
-// construction: a kill -9 or an ENOSPC mid-merge must never leave an
-// undetectably damaged file.
+// CTT on disk. Both on-disk forms are segment logs
+// (trace/segment_log.hpp) — CRC framing so any torn byte is
+// detectable, plus an explicit completeness marker — because both are
+// written on the crash path by construction: a kill -9 or an ENOSPC
+// mid-merge must never leave an undetectably damaged file.
 //
 // CYSP spill file:
 //
 //   header:  str "CYSP" | uvarint version (1)
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
 //
 // Segment kinds:
 //   0 CHUNK payload = a slice of the serialized CYPC stream
@@ -29,7 +28,6 @@
 //
 //   header:  str "CYM1" | uvarint version (1)
 //            | uv numRanks | uv budgetBytes | uv maxBatchRanks
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
 //
 // Segment kinds:
 //   0 BATCH payload = uv batchIndex | uv firstRank | uv rankCount
@@ -39,7 +37,7 @@
 //                     | uv fileBytes | u32 fileCrc
 //   2 FINAL payload = str outPath | uv bytes | u32 crc32
 //
-// Like the CYL1 ledger the manifest is append-only and never sealed;
+// Like the CYL1 ledger the manifest is a durable segment log, never sealed;
 // each segment is one completed, durable step of the merge. `file` is
 // relative to the manifest's directory; a BATCH with an empty file is
 // a degraded batch whose ranks were dropped (lostRanks says which).
@@ -58,6 +56,7 @@
 #include "support/bytebuf.hpp"
 #include "support/io.hpp"
 #include "support/rank_set.hpp"
+#include "trace/segment_log.hpp"
 
 namespace cypress::core {
 
@@ -153,8 +152,7 @@ struct MergePlanKey {
   bool operator==(const MergePlanKey&) const = default;
 };
 
-/// Append-only CYM1 writer: one write + fsync per segment, mirroring
-/// the ledger.
+/// Append-only CYM1 writer: one write + fsync per segment.
 class ManifestWriter {
  public:
   /// Opens `path` for appending; writes the header when the file is new
@@ -169,14 +167,10 @@ class ManifestWriter {
 
   /// Durable segments appended through this writer (header excluded) —
   /// the clock the kill-matrix --crash-after-steps hook reads.
-  uint64_t segmentsWritten() const { return segments_; }
+  uint64_t segmentsWritten() const { return log_.segmentsWritten(); }
 
  private:
-  void segment(uint8_t kind, const ByteWriter& payload);
-
-  io::IoBackend& io_;
-  std::unique_ptr<io::IoFile> file_;
-  uint64_t segments_ = 0;
+  trace::SegmentLogWriter log_;
 };
 
 /// The replayed state of a (possibly torn) manifest.

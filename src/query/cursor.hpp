@@ -1,94 +1,17 @@
 // CompressedCursor: stream one rank's events straight off the CTT.
 //
-// The decompressor in src/cypress materializes a full per-rank event
-// vector; consumers like SIM-MPI replay only ever look at each rank's
-// *current* event. This cursor runs the same pre-order CTT walk (loop
-// counts, branch outcomes, leaf occurrence ordinals) as an explicit
-// machine that pauses after every emitted event, so replay and
-// event-at-a-time analyses read the compressed form directly with
-// O(#CST vertices + #records + tree depth) state — never O(events).
-//
-// The event sequence is exactly decompressRank()'s, including the
-// end-of-walk drain check: a cursor that reaches done() guarantees all
-// payload cursors were consumed, and throws cypress::Error on the same
-// inconsistencies the batch decompressor rejects.
+// The cursor is the library's one trace expander and lives with the
+// decompressor in src/cypress (core::decompressRank() drains it into a
+// vector). Consumers like SIM-MPI replay only ever look at each rank's
+// *current* event, so they hold one cursor per rank instead of the
+// expanded trace: O(#CST vertices + #records + tree depth) state per
+// rank, never O(events).
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
-
-#include "cypress/merge.hpp"
-#include "trace/event.hpp"
+#include "cypress/decompress.hpp"
 
 namespace cypress::query {
 
-class CompressedCursor {
- public:
-  /// Build a cursor over `m` for one covered rank. `m` must outlive the
-  /// cursor. Constructing for a lost / uncovered rank yields a cursor
-  /// that throws on first use, exactly as decompressRank() throws.
-  CompressedCursor(const core::MergedCtt& m, int rank);
-
-  CompressedCursor(CompressedCursor&&) = default;
-  CompressedCursor& operator=(CompressedCursor&&) = default;
-
-  /// True when the walk is complete (runs the drain check once).
-  bool done();
-
-  /// The current event; valid until next(). Requires !done().
-  const trace::Event& peek();
-
-  /// Consume the current event.
-  void next();
-
-  /// Events emitted so far (consumed + the buffered one, if any).
-  uint64_t emitted() const { return emitted_; }
-
-  int rank() const { return rank_; }
-
-  /// Heap footprint of the cursor state (the replay-side memory story:
-  /// compare against events * sizeof(Event) for the materialized path).
-  size_t memoryBytes() const;
-
- private:
-  struct RecState {
-    SectionSeq::Cursor ord;
-    std::optional<SectionSeq::Cursor> matched;
-    const core::CommRecord* rec = nullptr;
-  };
-  struct LeafCursor {
-    const core::LeafEntry* entry = nullptr;
-    uint64_t nextOrdinal = 0;
-    std::optional<SectionSeq::Cursor> execCursor;
-    std::vector<RecState> recs;
-  };
-  /// One execution of one CST vertex, paused between children (and
-  /// between occurrences at a Comm child).
-  struct Frame {
-    const cst::Node* node = nullptr;
-    uint64_t exec = 0;    // this execution's ordinal of `node`
-    size_t child = 0;     // index of the child being processed
-    uint64_t pending = 0; // loop iterations / call visits still to push
-    bool pendingValid = false;
-  };
-
-  void push(const cst::Node* n);
-  void fillEvent(const cst::Node* leaf);
-  void advance();  // run the machine until an event is buffered or done
-  void checkDrained() const;
-
-  const core::MergedCtt* m_;
-  int rank_;
-  std::vector<std::optional<SectionSeq::Cursor>> loopCur_;
-  std::vector<std::optional<SectionSeq::Cursor>> takenCur_;
-  std::vector<LeafCursor> leaf_;
-  std::vector<uint64_t> execCount_;
-  std::vector<Frame> stack_;
-  trace::Event buf_;
-  bool hasEvent_ = false;
-  bool finished_ = false;
-  uint64_t emitted_ = 0;
-};
+using CompressedCursor = core::CompressedCursor;
 
 }  // namespace cypress::query

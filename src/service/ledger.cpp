@@ -1,9 +1,7 @@
 #include "service/ledger.hpp"
 
 #include <algorithm>
-#include <filesystem>
 
-#include "flate/flate.hpp"
 #include "support/error.hpp"
 
 namespace cypress::service {
@@ -16,11 +14,10 @@ constexpr uint8_t kStateSegment = 1;
 // readable across the format change, matching the strict version check
 // in recover().
 constexpr uint64_t kLedgerVersion = 2;
+constexpr uint64_t kLedgerHeader[] = {kLedgerVersion};
 
-std::string checkedStr(ByteReader& r) {
-  const uint64_t n = r.checkedCount(r.uv(), 1);
-  return std::string(reinterpret_cast<const char*>(r.raw(n).data()), n);
-}
+constexpr trace::SegmentLogFormat kLedgerFormat{"ledger", "CYL1", 1,
+                                                kStateSegment};
 
 JobState checkedState(uint8_t v) {
   CYP_CHECK(v <= static_cast<uint8_t>(JobState::FailedDisk),
@@ -32,36 +29,8 @@ JobState checkedState(uint8_t v) {
 
 LedgerWriter::LedgerWriter(const std::string& path, bool resume,
                            io::IoBackend* io)
-    : io_(io ? io : &io::realIo()) {
-  const bool fresh = !io_->exists(path) || io_->fileSize(path) == 0;
-  CYP_CHECK(fresh || resume,
-            "ledger: " << path << " already exists; run with --recover to "
-                       << "salvage it or remove it to start fresh");
-  file_ = io_->openWrite(path, /*append=*/true);
-  if (fresh) {
-    ByteWriter h;
-    h.str("CYL1");
-    h.uv(kLedgerVersion);
-    file_->write(h.bytes());
-    file_->sync();
-  }
-}
-
-void LedgerWriter::segment(uint8_t kind, const ByteWriter& payload) {
-  ByteWriter w;
-  w.u8(kind);
-  w.uv(payload.size());
-  w.u32fixed(flate::crc32(payload.bytes()));
-  w.raw(payload.bytes());
-  // One write + fsync per segment: a kill between appends tears the
-  // file at a segment boundary; a kill mid-write tears one segment —
-  // either way recovery salvages everything before it — and a state
-  // transition the daemon acted on can no longer be lost to the page
-  // cache on power failure.
-  file_->write(w.bytes());
-  file_->sync();
-  ++segments_;
-}
+    : log_(io ? *io : io::realIo(), path, kLedgerFormat, kLedgerHeader, resume,
+           "run with --recover to salvage it or remove it to start fresh") {}
 
 void LedgerWriter::appendSubmit(uint64_t jobId, uint64_t clientId,
                                 const JobSpec& spec) {
@@ -69,7 +38,7 @@ void LedgerWriter::appendSubmit(uint64_t jobId, uint64_t clientId,
   p.uv(jobId);
   p.uv(clientId);
   spec.serialize(p);
-  segment(kSubmitSegment, p);
+  log_.append(kSubmitSegment, p);
 }
 
 void LedgerWriter::appendState(uint64_t jobId, JobState state, uint32_t attempt,
@@ -83,7 +52,7 @@ void LedgerWriter::appendState(uint64_t jobId, JobState state, uint32_t attempt,
   p.str(detail);
   p.str(artifactPath);
   p.str(journalPath);
-  segment(kStateSegment, p);
+  log_.append(kStateSegment, p);
 }
 
 std::vector<uint64_t> LedgerRecovery::nonTerminal() const {
@@ -97,8 +66,7 @@ namespace {
 
 LedgerRecovery readLedger(std::span<const uint8_t> data, bool strict) {
   ByteReader r(data);
-  CYP_CHECK(r.str() == "CYL1", "ledger: bad magic");
-  const uint64_t version = r.uv();
+  const uint64_t version = trace::readSegmentHeader(r, kLedgerFormat)[0];
   CYP_CHECK(version == kLedgerVersion,
             "ledger: unsupported version " << version);
 
@@ -111,56 +79,44 @@ LedgerRecovery readLedger(std::span<const uint8_t> data, bool strict) {
     return nullptr;
   };
 
-  while (!r.atEnd()) {
-    const size_t segStart = r.pos();
-    try {
-      const uint8_t kind = r.u8();
-      CYP_CHECK(kind <= kStateSegment,
-                "ledger: unknown segment kind " << int(kind));
-      const uint64_t len = r.uv();
-      const uint32_t crc = r.u32fixed();
-      std::span<const uint8_t> payload = r.raw(len);
-      CYP_CHECK(flate::crc32(payload) == crc, "ledger: segment CRC mismatch");
-
-      // Parse fully into locals before committing, so a half-valid
-      // segment mutates nothing.
-      ByteReader p(payload);
-      if (kind == kSubmitSegment) {
-        LedgerJob j;
-        j.id = p.uv();
-        j.clientId = p.uv();
-        j.spec = JobSpec::deserialize(p);
-        CYP_CHECK(p.atEnd(), "ledger: trailing bytes in submit segment");
-        CYP_CHECK(find(j.id) == nullptr,
-                  "ledger: job " << j.id << " submitted twice");
-        out.maxJobId = std::max(out.maxJobId, j.id);
-        out.jobs.push_back(std::move(j));
-      } else {
-        const uint64_t id = p.uv();
-        const JobState state = checkedState(p.u8());
-        const uint32_t attempt = static_cast<uint32_t>(p.uv());
-        const std::string detail = checkedStr(p);
-        const std::string artifactPath = checkedStr(p);
-        const std::string journalPath = checkedStr(p);
-        CYP_CHECK(p.atEnd(), "ledger: trailing bytes in state segment");
-        LedgerJob* j = find(id);
-        CYP_CHECK(j != nullptr,
-                  "ledger: state transition for unknown job " << id);
-        CYP_CHECK(!isTerminal(j->state),
-                  "ledger: transition after terminal state for job " << id);
-        j->state = state;
-        j->attempt = attempt;
-        j->detail = detail;
-        if (!artifactPath.empty()) j->artifactPath = artifactPath;
-        if (!journalPath.empty()) j->journalPath = journalPath;
-      }
-      ++out.segmentsRecovered;
-    } catch (const Error&) {
-      if (strict) throw;
-      out.bytesDiscarded = data.size() - segStart;
-      return out;
+  // Parse fully into locals before committing, so a half-valid segment
+  // mutates nothing.
+  auto visit = [&](uint8_t kind, std::span<const uint8_t> payload) {
+    ByteReader p(payload);
+    if (kind == kSubmitSegment) {
+      LedgerJob j;
+      j.id = p.uv();
+      j.clientId = p.uv();
+      j.spec = JobSpec::deserialize(p);
+      CYP_CHECK(p.atEnd(), "ledger: trailing bytes in submit segment");
+      CYP_CHECK(find(j.id) == nullptr,
+                "ledger: job " << j.id << " submitted twice");
+      out.maxJobId = std::max(out.maxJobId, j.id);
+      out.jobs.push_back(std::move(j));
+      return;
     }
-  }
+    const uint64_t id = p.uv();
+    const JobState state = checkedState(p.u8());
+    const uint32_t attempt = static_cast<uint32_t>(p.uv());
+    std::string detail = p.str();
+    std::string artifactPath = p.str();
+    std::string journalPath = p.str();
+    CYP_CHECK(p.atEnd(), "ledger: trailing bytes in state segment");
+    LedgerJob* j = find(id);
+    CYP_CHECK(j != nullptr, "ledger: state transition for unknown job " << id);
+    CYP_CHECK(!isTerminal(j->state),
+              "ledger: transition after terminal state for job " << id);
+    j->state = state;
+    j->attempt = attempt;
+    j->detail = std::move(detail);
+    if (!artifactPath.empty()) j->artifactPath = std::move(artifactPath);
+    if (!journalPath.empty()) j->journalPath = std::move(journalPath);
+  };
+  const trace::SegmentWalk walk = trace::walkSegments(
+      r, kLedgerFormat,
+      strict ? trace::WalkMode::Strict : trace::WalkMode::Salvage, visit);
+  out.segmentsRecovered = walk.segments;
+  out.bytesDiscarded = walk.bytesDiscarded;
   return out;
 }
 
@@ -175,32 +131,15 @@ LedgerRecovery parseLedger(std::span<const uint8_t> data) {
 }
 
 LedgerRecovery recoverLedgerFile(const std::string& path, io::IoBackend* io) {
-  io::IoBackend& be = io ? *io : io::realIo();
-  if (!be.exists(path)) return LedgerRecovery{};
-  const std::vector<uint8_t> bytes = be.readAll(path);
-  if (bytes.empty()) return LedgerRecovery{};
-
-  // A kill can land mid-write of the header itself. A strict prefix of
-  // the canonical header is a torn fresh ledger — truncate to empty and
-  // start over. Anything else that fails the header check is a foreign
-  // file, and recoverLedger below refuses it rather than clobbering it.
-  ByteWriter canonical;
-  canonical.str("CYL1");
-  canonical.uv(kLedgerVersion);
-  const auto& header = canonical.bytes();
-  if (bytes.size() < header.size() &&
-      std::equal(bytes.begin(), bytes.end(), header.begin())) {
-    be.truncate(path, 0);
-    LedgerRecovery rec;
-    rec.bytesDiscarded = bytes.size();
-    return rec;
-  }
-
-  LedgerRecovery rec = recoverLedger(bytes);
-  if (rec.bytesDiscarded > 0)
-    // Truncate the torn tail so a resumed LedgerWriter appends at the
-    // segment boundary instead of behind garbage.
-    be.truncate(path, bytes.size() - rec.bytesDiscarded);
+  LedgerRecovery rec;
+  const trace::SegmentFileRecovery file = trace::recoverSegmentFile(
+      io ? *io : io::realIo(), path, kLedgerFormat,
+      [&](std::span<const uint8_t> bytes) {
+        rec = recoverLedger(bytes);
+        return rec.bytesDiscarded;
+      });
+  // A torn header leaves an empty ledger; report the bytes it cost.
+  rec.bytesDiscarded = file.bytesDiscarded;
   return rec;
 }
 

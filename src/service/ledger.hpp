@@ -1,12 +1,10 @@
 // Crash-consistent job ledger: the CYL1 append-only on-disk format.
 //
 // The daemon journals every job state transition the way the tracer
-// journals events (trace/journal.hpp): CRC-framed, append-only,
-// flushed segment by segment, so a `kill -9` at any byte leaves a
-// recoverable prefix. The layout:
+// journals events: as a durable segment log (trace/segment_log.hpp), so
+// a `kill -9` at any byte leaves a recoverable prefix. The layout:
 //
-//   header:  str "CYL1" | uvarint version (1)
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
+//   header:  str "CYL1" | uvarint version (2)
 //
 // Segment kinds:
 //   0 SUBMIT payload = uv jobId | uv clientId | JobSpec
@@ -15,21 +13,21 @@
 //
 // A ledger is never sealed — the server is meant to outlive any one
 // job — so recovery is always prefix salvage: replay CRC-valid
-// segments in order, stop at the first torn or corrupt one, and report
-// how many trailing bytes must be truncated before appending resumes.
+// segments in order, stop at the first torn or corrupt one, and
+// truncate the trailing bytes before appending resumes.
 // A job whose last recovered state is non-terminal (ACCEPTED or
 // RUNNING) was in flight at the crash: the server re-queues it and
 // marks its half-written artifacts for salvage.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "service/protocol.hpp"
 #include "support/io.hpp"
+#include "trace/segment_log.hpp"
 
 namespace cypress::service {
 
@@ -57,14 +55,10 @@ class LedgerWriter {
 
   /// Segments appended through this writer (header excluded) — the
   /// clock the kill-matrix test's --crash-after-segments hook reads.
-  uint64_t segmentsWritten() const { return segments_; }
+  uint64_t segmentsWritten() const { return log_.segmentsWritten(); }
 
  private:
-  void segment(uint8_t kind, const ByteWriter& payload);
-
-  io::IoBackend* io_;
-  std::unique_ptr<io::IoFile> file_;
-  uint64_t segments_ = 0;
+  trace::SegmentLogWriter log_;
 };
 
 /// One job as reconstructed from the ledger (last state wins).

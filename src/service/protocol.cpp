@@ -17,15 +17,6 @@ uint32_t readU32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-std::string checkedStr(ByteReader& r) {
-  // Strings inside protocol payloads are already bounded by the frame
-  // cap; checkedCount keeps a corrupt length prefix from scanning past
-  // the payload end.
-  const uint64_t n = r.checkedCount(r.uv(), 1);
-  std::string s(reinterpret_cast<const char*>(r.raw(n).data()), n);
-  return s;
-}
-
 JobKind decodeKind(uint8_t v) {
   CYP_CHECK(v <= static_cast<uint8_t>(JobKind::Query),
             "protocol: unknown job kind " << int(v));
@@ -131,8 +122,8 @@ void JobSpec::serialize(ByteWriter& w) const {
 JobSpec JobSpec::deserialize(ByteReader& r) {
   JobSpec s;
   s.kind = decodeKind(r.u8());
-  s.target = checkedStr(r);
-  s.sourceText = checkedStr(r);
+  s.target = r.str();
+  s.sourceText = r.str();
   s.procs = static_cast<uint32_t>(r.uv());
   s.scale = static_cast<uint32_t>(r.uv());
   CYP_CHECK(s.procs >= 1 && s.procs <= 1u << 20,
@@ -141,7 +132,7 @@ JobSpec JobSpec::deserialize(ByteReader& r) {
             "protocol: implausible scale " << s.scale);
   const uint64_t nf = r.checkedCount(r.uv(), 1);
   s.faultSpecs.reserve(nf);
-  for (uint64_t i = 0; i < nf; ++i) s.faultSpecs.push_back(checkedStr(r));
+  for (uint64_t i = 0; i < nf; ++i) s.faultSpecs.push_back(r.str());
   const uint8_t t = r.u8();
   CYP_CHECK(t <= 1, "protocol: bad faultsTransient flag " << int(t));
   s.faultsTransient = t == 1;
@@ -149,7 +140,7 @@ JobSpec JobSpec::deserialize(ByteReader& r) {
   s.maxAttempts = static_cast<uint32_t>(r.uv());
   CYP_CHECK(s.maxAttempts <= 1000,
             "protocol: implausible attempt budget " << s.maxAttempts);
-  s.querySpec = checkedStr(r);
+  s.querySpec = r.str();
   return s;
 }
 
@@ -169,9 +160,9 @@ JobStatus JobStatus::deserialize(ByteReader& r) {
   s.id = r.uv();
   s.state = decodeState(r.u8());
   s.attempts = static_cast<uint32_t>(r.uv());
-  s.detail = checkedStr(r);
-  s.artifactPath = checkedStr(r);
-  s.journalPath = checkedStr(r);
+  s.detail = r.str();
+  s.artifactPath = r.str();
+  s.journalPath = r.str();
   s.artifactBytes = r.uv();
   s.errnoValue = static_cast<uint32_t>(r.uv());
   return s;
@@ -312,7 +303,7 @@ Response Response::decode(std::span<const uint8_t> payload) {
       break;
     case ResponseCode::RejectedBusy:
     case ResponseCode::Error:
-      resp.message = checkedStr(r);
+      resp.message = r.str();
       resp.errnoValue = static_cast<uint32_t>(r.uv());
       break;
     case ResponseCode::Status:

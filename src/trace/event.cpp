@@ -1,5 +1,6 @@
 #include "trace/event.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -81,7 +82,13 @@ size_t RawTrace::serializedBytes() const {
 }
 
 RawTrace RawTrace::deserialize(std::span<const uint8_t> data) {
-  ByteReader r(data);
+  // Every count below passes checkedCount, which already bounds the
+  // allocation to sizeof(Event)/10 bytes per input byte; size the budget
+  // to match, so a legitimate trace of any length parses while a tiny
+  // hostile input still cannot allocate more than a small multiple of
+  // itself.
+  ByteReader r(data, std::max(ByteReader::kDefaultAllocBudget,
+                              data.size() * sizeof(Event)));
   CYP_CHECK(r.str() == "CYTR", "raw trace: bad magic");
   RawTrace t;
   // Per rank: sv rank + uv eventCount = 2 bytes minimum.

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "flate/flate.hpp"
 #include "support/error.hpp"
+#include "trace/segment_log.hpp"
 
 namespace cypress::trace {
 
@@ -13,6 +13,8 @@ namespace {
 constexpr uint8_t kEventsSegment = 0;
 constexpr uint8_t kFinalizeSegment = 1;
 constexpr uint8_t kSealSegment = 2;
+
+constexpr SegmentLogFormat kJournalFormat{"journal", "CYJ1", 1, kSealSegment};
 
 /// Cap on the rank count in a journal header (matches RankSet's bound on
 /// deserialized set sizes): far above any simulated job, far below OOM.
@@ -23,8 +25,8 @@ constexpr uint64_t kMaxJournalRanks = RankSet::kMaxSerializedRanks;
 JournalBuilder::JournalBuilder(int numRanks, Sink sink)
     : sink_(std::move(sink)), numRanks_(numRanks) {
   CYP_CHECK(numRanks >= 1, "journal needs at least one rank");
-  w_.str("CYJ1");
-  w_.uv(static_cast<uint64_t>(numRanks));
+  const uint64_t header[] = {static_cast<uint64_t>(numRanks)};
+  writeSegmentHeader(w_, kJournalFormat, header);
   emitTail(0);
 }
 
@@ -37,10 +39,7 @@ void JournalBuilder::emitTail(size_t from) {
 void JournalBuilder::segment(uint8_t kind, const ByteWriter& payload) {
   CYP_CHECK(!sealed_, "journal: segment appended after the seal");
   const size_t from = w_.size();
-  w_.u8(kind);
-  w_.uv(payload.size());
-  w_.u32fixed(flate::crc32(payload.bytes()));
-  w_.raw(payload.bytes());
+  frameSegment(w_, kind, payload.bytes());
   emitTail(from);
 }
 
@@ -121,8 +120,7 @@ JournalRecovery readJournal(std::span<const uint8_t> data, bool strict) {
   ByteReader r(data);
   // Header damage is unrecoverable in both modes: without the magic and
   // rank count there is nothing to salvage against.
-  CYP_CHECK(r.str() == "CYJ1", "journal: bad magic");
-  const uint64_t nRanks = r.uv();
+  const uint64_t nRanks = readSegmentHeader(r, kJournalFormat)[0];
   CYP_CHECK(nRanks >= 1 && nRanks <= kMaxJournalRanks,
             "journal: implausible rank count " << nRanks);
   r.chargeAlloc(nRanks * sizeof(RankTrace));
@@ -133,75 +131,60 @@ JournalRecovery readJournal(std::span<const uint8_t> data, bool strict) {
     out.trace.ranks[i].rank = static_cast<int32_t>(i);
 
   uint64_t eventsSeen = 0;
-  while (!r.atEnd()) {
-    const size_t segStart = r.pos();
-    try {
-      CYP_CHECK(!out.sealed, "journal: segment after the seal");
-      const uint8_t kind = r.u8();
-      CYP_CHECK(kind <= kSealSegment, "journal: unknown segment kind "
-                                          << int(kind));
-      const uint64_t len = r.uv();
-      const uint32_t crc = r.u32fixed();
-      std::span<const uint8_t> payload = r.raw(len);
-      CYP_CHECK(flate::crc32(payload) == crc, "journal: segment CRC mismatch");
-
-      // Parse the payload fully into locals before mutating the
-      // recovery state, so a half-valid segment commits nothing.
-      ByteReader p(payload);
-      switch (kind) {
-        case kEventsSegment: {
-          const uint64_t rank = p.uv();
-          CYP_CHECK(rank < nRanks, "journal: event segment for rank "
-                                       << rank << " of " << nRanks);
-          const uint64_t ne = p.checkedCount(p.uv(), 10);
-          p.chargeAlloc(ne * sizeof(Event));
-          std::vector<Event> events;
-          events.reserve(ne);
-          for (uint64_t k = 0; k < ne; ++k)
-            events.push_back(deserializeEvent(p));
-          CYP_CHECK(p.atEnd(), "journal: trailing bytes in event segment");
-          auto& dst = out.trace.ranks[rank].events;
-          dst.insert(dst.end(), events.begin(), events.end());
-          eventsSeen += ne;
-          break;
-        }
-        case kFinalizeSegment: {
-          const uint64_t rank = p.uv();
-          CYP_CHECK(rank < nRanks, "journal: finalize for rank " << rank
-                                       << " of " << nRanks);
-          CYP_CHECK(p.atEnd(), "journal: trailing bytes in finalize segment");
-          const int rk = static_cast<int>(rank);
-          CYP_CHECK(std::find(out.finalizedRanks.begin(),
-                              out.finalizedRanks.end(),
-                              rk) == out.finalizedRanks.end(),
-                    "journal: rank " << rank << " finalized twice");
-          out.finalizedRanks.push_back(rk);
-          break;
-        }
-        case kSealSegment: {
-          RankSet lost = RankSet::deserialize(p);
-          const uint64_t total = p.uv();
-          CYP_CHECK(p.atEnd(), "journal: trailing bytes in seal segment");
-          CYP_CHECK(total == eventsSeen,
-                    "journal: seal claims " << total << " events, journal has "
-                                            << eventsSeen);
-          for (int32_t rk : lost.ranks())
-            CYP_CHECK(static_cast<uint64_t>(rk) < nRanks,
-                      "journal: lost rank " << rk << " of " << nRanks);
-          out.lostRanks = std::move(lost);
-          out.sealed = true;
-          break;
-        }
+  // Each case parses its payload fully into locals before mutating the
+  // recovery state, so a half-valid segment commits nothing.
+  auto visit = [&](uint8_t kind, std::span<const uint8_t> payload) {
+    CYP_CHECK(!out.sealed, "journal: segment after the seal");
+    ByteReader p(payload);
+    switch (kind) {
+      case kEventsSegment: {
+        const uint64_t rank = p.uv();
+        CYP_CHECK(rank < nRanks, "journal: event segment for rank "
+                                     << rank << " of " << nRanks);
+        const uint64_t ne = p.checkedCount(p.uv(), 10);
+        p.chargeAlloc(ne * sizeof(Event));
+        std::vector<Event> events;
+        events.reserve(ne);
+        for (uint64_t k = 0; k < ne; ++k) events.push_back(deserializeEvent(p));
+        CYP_CHECK(p.atEnd(), "journal: trailing bytes in event segment");
+        auto& dst = out.trace.ranks[rank].events;
+        dst.insert(dst.end(), events.begin(), events.end());
+        eventsSeen += ne;
+        break;
       }
-      ++out.segmentsRecovered;
-    } catch (const Error&) {
-      if (strict) throw;
-      // Torn or corrupt segment: everything before `segStart` is intact;
-      // discard the rest.
-      out.bytesDiscarded = data.size() - segStart;
-      return out;
+      case kFinalizeSegment: {
+        const uint64_t rank = p.uv();
+        CYP_CHECK(rank < nRanks, "journal: finalize for rank " << rank << " of "
+                                                              << nRanks);
+        CYP_CHECK(p.atEnd(), "journal: trailing bytes in finalize segment");
+        const int rk = static_cast<int>(rank);
+        CYP_CHECK(std::find(out.finalizedRanks.begin(),
+                            out.finalizedRanks.end(),
+                            rk) == out.finalizedRanks.end(),
+                  "journal: rank " << rank << " finalized twice");
+        out.finalizedRanks.push_back(rk);
+        break;
+      }
+      case kSealSegment: {
+        RankSet lost = RankSet::deserialize(p);
+        const uint64_t total = p.uv();
+        CYP_CHECK(p.atEnd(), "journal: trailing bytes in seal segment");
+        CYP_CHECK(total == eventsSeen, "journal: seal claims "
+                                           << total << " events, journal has "
+                                           << eventsSeen);
+        for (int32_t rk : lost.ranks())
+          CYP_CHECK(static_cast<uint64_t>(rk) < nRanks,
+                    "journal: lost rank " << rk << " of " << nRanks);
+        out.lostRanks = std::move(lost);
+        out.sealed = true;
+        break;
+      }
     }
-  }
+  };
+  const SegmentWalk walk = walkSegments(
+      r, kJournalFormat, strict ? WalkMode::Strict : WalkMode::Salvage, visit);
+  out.segmentsRecovered = walk.segments;
+  out.bytesDiscarded = walk.bytesDiscarded;
   if (strict)
     CYP_CHECK(out.sealed, "journal: not sealed (torn or still being written)");
   return out;

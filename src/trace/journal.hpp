@@ -1,10 +1,10 @@
 // Crash-consistent trace journaling: the CYJ1 segmented on-disk format.
 //
-// A journal is an append-only byte stream a tracer can be killed in the
-// middle of writing, at any byte, and still recover from. The layout:
+// A journal is a segment log (trace/segment_log.hpp): an append-only
+// byte stream a tracer can be killed in the middle of writing, at any
+// byte, and still recover from. The layout:
 //
 //   header:  str "CYJ1" | uvarint numRanks
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
 //
 // Segment kinds:
 //   0 EVENTS   payload = uv rank | uv nEvents | nEvents serialized Events
@@ -18,7 +18,7 @@
 // missing segment, yielding every event up to the last complete segment
 // — the same guarantee Recorder-style per-rank I/O tracing provides.
 //
-// Two readers share the segment walk:
+// Two readers share the segment log's walk:
 //   recoverJournal() is the salvage path (`cyptrace recover`): it throws
 //     only on a bad header and otherwise returns the recoverable prefix,
 //     reporting how many trailing bytes were discarded.
