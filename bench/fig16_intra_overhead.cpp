@@ -22,6 +22,7 @@ int main() {
       driver::Options opts;
       opts.procs = procs;
       opts.withRaw = false;
+      opts.meterHooks = true;
       driver::RunOutput run = driver::runWorkload(name, opts);
       // Overhead relative to the application's execution time on the
       // modeled cluster: total rank-seconds of simulated time versus the

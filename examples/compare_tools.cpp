@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
 
   driver::Options opts;
   opts.procs = procs;
+  opts.meterHooks = true;  // the "intra cost" column
   driver::RunOutput run = driver::runWorkload(name, opts);
   driver::SizeReport rep = driver::computeSizes(run);
 

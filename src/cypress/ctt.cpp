@@ -110,7 +110,7 @@ void CttRecorder::pushLoopIteration(const cst::Node* loop) {
 }
 
 void CttRecorder::onStructEnter(int structId, int /*pathIndex*/) {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   const cst::Node* c = cst::Tree::childByStruct(top(), structId, -1);
   if (c == nullptr) {
     // The structure may be re-entered while frames from a previous
@@ -142,7 +142,7 @@ void CttRecorder::onStructEnter(int structId, int /*pathIndex*/) {
 }
 
 void CttRecorder::onStructExit(int structId) {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   // Find the open frame for this structure.
   for (size_t i = stack_.size(); i-- > 1;) {
     if (stack_[i].node->structId == structId &&
@@ -160,7 +160,7 @@ void CttRecorder::onStructExit(int structId) {
 }
 
 void CttRecorder::onCallEnter(int callInstrId, const std::string& callee) {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   // Recursive re-entry? Find an open pseudo-loop for this callee.
   for (size_t i = stack_.size(); i-- > 1;) {
     const cst::Node* n = stack_[i].node;
@@ -199,7 +199,7 @@ void CttRecorder::onCallEnter(int callInstrId, const std::string& callee) {
 }
 
 void CttRecorder::onCallExit(const std::string& /*callee*/) {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   CYP_CHECK(!callLog_.empty(), "call exit without a call entry");
   CallLogEntry entry = std::move(callLog_.back());
   callLog_.pop_back();
@@ -218,7 +218,7 @@ void CttRecorder::onCallExit(const std::string& /*callee*/) {
 }
 
 void CttRecorder::onEvent(const trace::Event& e) {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   const cst::Node* leaf = cst::Tree::childByCallSite(top(), e.callSiteId);
   CYP_CHECK(leaf != nullptr, "event at call site " << e.callSiteId
                                                    << " not found under gid "
@@ -250,7 +250,7 @@ void CttRecorder::onEvent(const trace::Event& e) {
 }
 
 void CttRecorder::onFinalize() {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   CYP_CHECK(!finalized_, "double finalize");
   closeTo(1);
   finalized_ = true;

@@ -11,9 +11,10 @@
 //
 // CttRecorder implements the PMPI observer: it maintains the "program
 // pointer" p of the paper — a stack of active structure frames — and
-// fills event details into the static template. All hook work is charged
-// to a CostMeter so the intra-process overhead experiments measure
-// exactly the compression cost.
+// fills event details into the static template. With
+// Options::meterHooks set, all hook work is charged to a CostMeter so
+// the intra-process overhead experiments measure exactly the
+// compression cost; otherwise the hooks read no clock at all.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +96,9 @@ class CttRecorder final : public trace::Observer {
     /// to compare-with-last; larger windows capture loop-carried
     /// parameter cycles at slightly higher per-event cost.
     int window;
+    /// Charge every hook to cost() (two clock reads per call). Off by
+    /// default: only the overhead experiments read the meter.
+    bool meterHooks = false;
     Options() : timeMode(TimeMode::MeanStddev), window(64) {}
     explicit Options(TimeMode m, int w = 64) : timeMode(m), window(w) {}
   };
@@ -113,7 +117,8 @@ class CttRecorder final : public trace::Observer {
   int rank() const { return rank_; }
   bool finalized() const { return finalized_; }
 
-  /// CPU time spent inside the hooks (the tool's intra-process overhead).
+  /// CPU time spent inside the hooks (the tool's intra-process
+  /// overhead); stays 0 unless Options::meterHooks is set.
   const CostMeter& cost() const { return cost_; }
 
   /// CTT payload + recorder bookkeeping memory.
@@ -130,6 +135,7 @@ class CttRecorder final : public trace::Observer {
     std::vector<Frame> savedFrames;   // Reentry: frames popped at re-entry
   };
 
+  CostMeter* meter() { return opts_.meterHooks ? &cost_ : nullptr; }
   const cst::Node* top() const { return stack_.back().node; }
   uint64_t& exec(const cst::Node* n) { return exec_[static_cast<size_t>(n->gid)]; }
 

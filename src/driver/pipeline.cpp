@@ -112,7 +112,7 @@ RunOutput runSource(const std::string& name, const std::string& source,
   simmpi::Engine::Config cfg = opts.engine;
   cfg.numRanks = opts.procs;
   simmpi::Engine engine(cfg);
-  out.raw.ranks.resize(static_cast<size_t>(opts.procs));
+  if (opts.withRaw) out.raw.ranks.resize(static_cast<size_t>(opts.procs));
   if (opts.withJournal)
     out.journal =
         std::make_unique<trace::JournalBuilder>(opts.procs, opts.journalSink);
@@ -120,6 +120,11 @@ RunOutput runSource(const std::string& name, const std::string& source,
   std::vector<std::unique_ptr<trace::RawRecorder>> raws;
   std::vector<std::unique_ptr<trace::TeeObserver>> tees;
   std::vector<trace::Observer*> obs;
+  core::CttRecorder::Options cypressOpts(opts.timeMode);
+  scalatrace::Recorder::Options scalaOpts(scalatrace::Flavor::V1);
+  scalatrace::Recorder::Options scala2Opts(scalatrace::Flavor::V2);
+  cypressOpts.meterHooks = scalaOpts.meterHooks = scala2Opts.meterHooks =
+      opts.meterHooks;
   for (int r = 0; r < opts.procs; ++r) {
     auto tee = std::make_unique<trace::TeeObserver>();
     if (opts.withRaw) {
@@ -134,18 +139,17 @@ RunOutput runSource(const std::string& name, const std::string& source,
       tee->add(out.journalRecorders.back().get());
     }
     if (opts.withCypress) {
-      out.cypress.push_back(std::make_unique<core::CttRecorder>(
-          *out.cst, r, core::CttRecorder::Options(opts.timeMode)));
+      out.cypress.push_back(
+          std::make_unique<core::CttRecorder>(*out.cst, r, cypressOpts));
       tee->add(out.cypress.back().get());
     }
     if (opts.withScala) {
-      out.scala.push_back(std::make_unique<scalatrace::Recorder>(
-          r, scalatrace::Recorder::Options(scalatrace::Flavor::V1)));
+      out.scala.push_back(std::make_unique<scalatrace::Recorder>(r, scalaOpts));
       tee->add(out.scala.back().get());
     }
     if (opts.withScala2) {
-      out.scala2.push_back(std::make_unique<scalatrace::Recorder>(
-          r, scalatrace::Recorder::Options(scalatrace::Flavor::V2)));
+      out.scala2.push_back(
+          std::make_unique<scalatrace::Recorder>(r, scala2Opts));
       tee->add(out.scala2.back().get());
     }
     tees.push_back(std::move(tee));

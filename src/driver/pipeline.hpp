@@ -65,11 +65,21 @@ struct Options {
   /// RunOutput::rankTraceFiles. Ranks that did not finalize get an
   /// empty entry.
   bool emitRankTraces = false;
+  /// Record the full raw event trace in RunOutput::raw. Only needed by
+  /// consumers of the expanded trace (raw sizes, roundtrip
+  /// decompression checks, raw-scan oracles); its memory grows with the
+  /// event count. The run's event count is available without it, in
+  /// RunOutput::runStats.totalEvents.
   bool withRaw = true;
   bool withScala = true;
   bool withScala2 = true;
   bool withCypress = true;
   core::TimeMode timeMode = core::TimeMode::MeanStddev;
+  /// Charge every recorder hook to its CostMeter (two clock reads per
+  /// hook call), feeding RunOutput::*IntraSeconds() — the paper's
+  /// Fig. 16 intra-process overhead. Off by default; those accessors
+  /// then read 0.
+  bool meterHooks = false;
   simmpi::Engine::Config engine;  // numRanks is overwritten with `procs`
   /// Also journal raw events to a crash-consistent CYJ1 stream (see
   /// trace/journal.hpp). The journal is sealed after the run with the
@@ -137,7 +147,8 @@ struct RunOutput {
   double tracedWallSeconds = 0.0;
   double baselineWallSeconds = 0.0;  // only when measureBaseline
 
-  /// Sum of per-rank intra-process hook costs (seconds).
+  /// Sum of per-rank intra-process hook costs (seconds); 0 unless the
+  /// run set Options::meterHooks.
   double cypressIntraSeconds() const;
   double scalaIntraSeconds() const;
   double scala2IntraSeconds() const;

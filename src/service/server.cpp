@@ -394,7 +394,8 @@ JobServer::AttemptResult JobServer::runAttempt(
 
   switch (spec.kind) {
     case JobKind::Run: {
-      // Mirror `cyptrace run`: CYPRESS (+raw) only, merged trace out.
+      // Mirror `cyptrace run`: CYPRESS only (no raw trace), merged
+      // trace out.
       std::string source = spec.sourceText;
       if (source.empty()) {
         const workloads::Workload& w = workloads::get(spec.target);
@@ -409,6 +410,7 @@ JobServer::AttemptResult JobServer::runAttempt(
       opts.procs = static_cast<int>(spec.procs);
       opts.scale = static_cast<int>(spec.scale);
       opts.threads = cfg_.threadsPerJob;
+      opts.withRaw = false;
       opts.withScala = false;
       opts.withScala2 = false;
       opts.onStall = vm::OnStall::Salvage;
@@ -462,7 +464,7 @@ JobServer::AttemptResult JobServer::runAttempt(
 
       if (run.runStats.deadRanks.empty()) {
         res.outcome = Outcome::Ok;
-        res.detail = "traced " + std::to_string(run.raw.totalEvents()) +
+        res.detail = "traced " + std::to_string(run.runStats.totalEvents) +
                      " events on " + std::to_string(spec.procs) + " ranks";
       } else {
         // Killed ranks degrade, not fail: the survivors' merged trace

@@ -71,6 +71,7 @@ void Engine::emit(int rank, trace::Event e, uint64_t durationNs) {
   r.computeAccum = 0;
   e.durationNs = durationNs;
   r.commTime += durationNs;
+  ++r.events;
   if (r.observer) r.observer->onEvent(e);
   progress_ = true;
 }
@@ -98,7 +99,7 @@ void Engine::deliver(const Message& m) {
   RankState& dst = rs(m.dst);
   // Try posted receives in posting order (MPI non-overtaking rule).
   for (size_t i = 0; i < dst.pendingRecvs.size(); ++i) {
-    Request& req = dst.requests[static_cast<size_t>(dst.pendingRecvs[i])];
+    Request& req = dst.requests[dst.pendingRecvs[i]];
     if (!req.complete && matches(req, m)) {
       checkTruncation(req, m);
       req.complete = true;
@@ -112,9 +113,20 @@ void Engine::deliver(const Message& m) {
   dst.unexpected.push_back(m);
 }
 
+int64_t Engine::RequestTable::add(const Request& req) {
+  size_t retired = 0;
+  while (retired < live_.size() && live_[retired].complete &&
+         live_[retired].consumed)
+    ++retired;
+  live_.erase(live_.begin(), live_.begin() + static_cast<ssize_t>(retired));
+  base_ += static_cast<int64_t>(retired);
+  live_.push_back(req);
+  return end() - 1;
+}
+
 bool Engine::tryMatchRecv(int rank, int64_t reqIdx) {
   RankState& r = rs(rank);
-  Request& req = r.requests[static_cast<size_t>(reqIdx)];
+  Request& req = r.requests[reqIdx];
   // Deterministic match order. For a specific source the deque scan is
   // FIFO per (src, tag, comm) pair, as MPI requires. For MPI_ANY_SOURCE
   // the match must be a function of the *set* of buffered messages, not
@@ -308,8 +320,7 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       req.postSite = d.callSiteId;
       req.complete = true;  // eager: buffer reusable after local copy
       req.completeNs = r.clock + jittered(net_.sendOverhead(d.bytes), rank);
-      r.requests.push_back(req);
-      const int64_t id = static_cast<int64_t>(r.requests.size()) - 1;
+      const int64_t id = r.requests.add(req);
       r.outstanding.push_back(id);
       if (reqIdOut) *reqIdOut = id;
       Message m{rank, d.peer, d.tag, d.comm, d.bytes,
@@ -335,8 +346,7 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       req.tag = d.tag;
       req.comm = d.comm;
       req.postSite = d.callSiteId;
-      r.requests.push_back(req);
-      const int64_t id = static_cast<int64_t>(r.requests.size()) - 1;
+      const int64_t id = r.requests.add(req);
       r.outstanding.push_back(id);
       if (reqIdOut) *reqIdOut = id;
       if (!tryMatchRecv(rank, id)) r.pendingRecvs.push_back(id);
@@ -361,25 +371,25 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       req.comm = d.comm;
       req.postSite = d.callSiteId;
       req.consumed = true;  // not visible to Waitall/Waitany
-      r.requests.push_back(req);
-      const int64_t id = static_cast<int64_t>(r.requests.size()) - 1;
+      const int64_t id = r.requests.add(req);
       r.pending.kind = PendingKind::Recv;
       r.pending.desc = d;
       r.pending.reqIdx = id;
       r.pending.blockStartNs = r.clock;
       if (!tryMatchRecv(rank, id)) {
         r.pendingRecvs.push_back(id);
-        if (!r.requests[static_cast<size_t>(id)].complete) return OpStatus::Blocked;
+        if (!r.requests[id].complete) return OpStatus::Blocked;
       }
       completePending(rank);
       return OpStatus::Complete;
     }
     case ir::MpiOp::Wait: {
-      CYP_CHECK(d.waitReqId >= 0 &&
-                    d.waitReqId < static_cast<int64_t>(r.requests.size()),
+      CYP_CHECK(d.waitReqId >= 0 && d.waitReqId < r.requests.end(),
                 "Wait on invalid request " << d.waitReqId);
-      Request& req = r.requests[static_cast<size_t>(d.waitReqId)];
-      CYP_CHECK(!req.consumed, "Wait on already-completed request");
+      CYP_CHECK(d.waitReqId >= r.requests.base() &&
+                    !r.requests[d.waitReqId].consumed,
+                "Wait on already-completed request");
+      Request& req = r.requests[d.waitReqId];
       r.pending.kind = PendingKind::Wait;
       r.pending.desc = d;
       r.pending.reqIdx = d.waitReqId;
@@ -422,10 +432,10 @@ bool Engine::pendingSatisfied(int rank) {
       return false;
     case PendingKind::Recv:
     case PendingKind::Wait:
-      return r.requests[static_cast<size_t>(r.pending.reqIdx)].complete;
+      return r.requests[r.pending.reqIdx].complete;
     case PendingKind::Waitall: {
       for (int64_t id : r.outstanding)
-        if (!r.requests[static_cast<size_t>(id)].complete) return false;
+        if (!r.requests[id].complete) return false;
       return true;
     }
     case PendingKind::Waitany:
@@ -435,7 +445,7 @@ bool Engine::pendingSatisfied(int rank) {
                 ir::mpiOpName(r.pending.desc.op)
                     << " with no outstanding requests on rank " << rank);
       for (int64_t id : r.outstanding)
-        if (r.requests[static_cast<size_t>(id)].complete) return true;
+        if (r.requests[id].complete) return true;
       return false;
     }
     case PendingKind::Collective: {
@@ -456,7 +466,7 @@ void Engine::completePending(int rank) {
     case PendingKind::None:
       CYP_FAIL("completePending with no pending op");
     case PendingKind::Recv: {
-      Request& req = r.requests[static_cast<size_t>(p.reqIdx)];
+      Request& req = r.requests[p.reqIdx];
       const uint64_t done =
           std::max(req.completeNs, r.clock) + net_.recvOverhead(req.bytes);
       const uint64_t duration = done - p.blockStartNs;
@@ -473,7 +483,7 @@ void Engine::completePending(int rank) {
       return;
     }
     case PendingKind::Wait: {
-      Request& req = r.requests[static_cast<size_t>(p.reqIdx)];
+      Request& req = r.requests[p.reqIdx];
       req.consumed = true;
       std::erase(r.outstanding, p.reqIdx);
       const uint64_t done = std::max(req.completeNs, r.clock) +
@@ -498,7 +508,7 @@ void Engine::completePending(int rank) {
     case PendingKind::Waitall: {
       uint64_t done = r.clock;
       for (int64_t id : r.outstanding) {
-        Request& q = r.requests[static_cast<size_t>(id)];
+        Request& q = r.requests[id];
         q.consumed = true;
         done = std::max(done, q.completeNs);
       }
@@ -517,15 +527,15 @@ void Engine::completePending(int rank) {
       // Deterministic: the earliest-completed outstanding request.
       int64_t best = -1;
       for (int64_t id : r.outstanding) {
-        const Request& q = r.requests[static_cast<size_t>(id)];
+        const Request& q = r.requests[id];
         if (!q.complete) continue;
         if (best < 0 ||
-            q.completeNs < r.requests[static_cast<size_t>(best)].completeNs) {
+            q.completeNs < r.requests[best].completeNs) {
           best = id;
         }
       }
       CYP_CHECK(best >= 0, "Waitany completed without a complete request");
-      Request& req = r.requests[static_cast<size_t>(best)];
+      Request& req = r.requests[best];
       req.consumed = true;
       std::erase(r.outstanding, best);
       const uint64_t done = std::max(req.completeNs, r.clock) +
@@ -551,11 +561,11 @@ void Engine::completePending(int rank) {
       // recorded via their posting-site GIDs, §IV-A).
       std::vector<int64_t> ready;
       for (int64_t id : r.outstanding)
-        if (r.requests[static_cast<size_t>(id)].complete) ready.push_back(id);
+        if (r.requests[id].complete) ready.push_back(id);
       CYP_CHECK(!ready.empty(), "Waitsome completed without a complete request");
       uint64_t done = r.clock;
       for (int64_t id : ready) {
-        Request& req = r.requests[static_cast<size_t>(id)];
+        Request& req = r.requests[id];
         req.consumed = true;
         std::erase(r.outstanding, id);
         done = std::max(done, req.completeNs);
@@ -564,7 +574,7 @@ void Engine::completePending(int rank) {
       const uint64_t total = done - p.blockStartNs;
       r.clock = done;
       for (size_t k = 0; k < ready.size(); ++k) {
-        const Request& req = r.requests[static_cast<size_t>(ready[k])];
+        const Request& req = r.requests[ready[k]];
         trace::Event e;
         e.op = ir::MpiOp::Waitsome;
         e.peer = req.peer;
@@ -617,9 +627,11 @@ void Engine::finalizeRank(int rank) {
   RankState& r = rs(rank);
   CYP_CHECK(r.pending.kind == PendingKind::None,
             "rank " << rank << " finalized with a pending op");
-  for (size_t i = 0; i < r.requests.size(); ++i) {
-    CYP_CHECK(r.requests[i].consumed,
-              "rank " << rank << " finalized with outstanding request " << i);
+  int64_t id = r.requests.base();
+  for (const Request& q : r.requests.live()) {
+    CYP_CHECK(q.consumed,
+              "rank " << rank << " finalized with outstanding request " << id);
+    ++id;
   }
   CYP_CHECK(r.outstanding.empty(),
             "rank " << rank << " finalized with outstanding requests");
@@ -718,7 +730,7 @@ Engine::RankDiagnostic Engine::diagnose(int rank) const {
     }
     case PendingKind::Wait: {
       d.seq = r.pending.reqIdx;
-      const Request& q = r.requests[static_cast<size_t>(r.pending.reqIdx)];
+      const Request& q = r.requests[r.pending.reqIdx];
       d.peer = q.peer;
       d.tag = q.tag;
       d.comm = q.comm;
@@ -732,7 +744,7 @@ Engine::RankDiagnostic Engine::diagnose(int rank) const {
     case PendingKind::Waitsome: {
       int incomplete = 0;
       for (int64_t id : r.outstanding) {
-        const Request& q = r.requests[static_cast<size_t>(id)];
+        const Request& q = r.requests[id];
         if (q.complete) continue;
         if (incomplete++ > 0) why << ", ";
         why << ir::mpiOpName(q.kind) << "(peer=" << q.peer

@@ -105,6 +105,10 @@ class Engine {
     return ranks_[static_cast<size_t>(rank)].commTime;
   }
 
+  /// Trace events emitted for a rank so far — exactly the events its
+  /// observer received, counted whether or not an observer is attached.
+  uint64_t eventCount(int rank) const { return rs(rank).events; }
+
   /// True when some operation completed since the last call (used by the
   /// scheduler's deadlock detection).
   bool takeProgressFlag();
@@ -159,6 +163,32 @@ class Engine {
     uint64_t completeNs = 0;
   };
 
+  /// One rank's requests, addressed by handle: a per-rank sequence
+  /// number, which is also the reqId the trace records. A request that
+  /// is both complete and consumed (waited on, or a finished blocking
+  /// Recv) is retired. Adding a request first drops the retired prefix
+  /// of the table, so its size follows the requests in flight (from the
+  /// oldest unfinished one on) instead of growing by one entry per
+  /// receive for the whole run.
+  class RequestTable {
+   public:
+    /// Append a request; returns its handle.
+    int64_t add(const Request& req);
+    Request& operator[](int64_t id) { return live_[slot(id)]; }
+    const Request& operator[](int64_t id) const { return live_[slot(id)]; }
+    /// Every handle issued so far lies in [0, end()).
+    int64_t end() const { return base_ + static_cast<int64_t>(live_.size()); }
+    /// Handle of live().front(); smaller handles are retired.
+    int64_t base() const { return base_; }
+    const std::vector<Request>& live() const { return live_; }
+
+   private:
+    size_t slot(int64_t id) const { return static_cast<size_t>(id - base_); }
+
+    std::vector<Request> live_;
+    int64_t base_ = 0;
+  };
+
   struct Message {
     int32_t src, dst, tag, comm;
     int64_t bytes;
@@ -180,9 +210,10 @@ class Engine {
   struct RankState {
     uint64_t clock = 0;
     uint64_t commTime = 0;
+    uint64_t events = 0;        // trace events emitted
     uint64_t computeAccum = 0;  // compute since previous event
     Rng rng{0};                 // per-rank jitter stream (thread-isolated)
-    std::vector<Request> requests;
+    RequestTable requests;
     std::vector<int64_t> outstanding;    // non-blocking requests not yet waited
     std::deque<Message> unexpected;      // arrived, unmatched messages
     std::vector<int64_t> pendingRecvs;   // posted, unmatched recv requests

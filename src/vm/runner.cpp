@@ -101,6 +101,7 @@ RunResult run(const ir::Module& m, simmpi::Engine& engine,
   out.executionNs = engine.executionTimeNs();
   for (int r = 0; r < numRanks; ++r) {
     out.totalInstructions += vms[static_cast<size_t>(r)]->instructionsExecuted();
+    out.totalEvents += engine.eventCount(r);
     out.rankCommNs.push_back(engine.commTimeNs(r));
     out.rankClockNs.push_back(engine.clockNs(r));
   }

@@ -55,6 +55,7 @@ struct RunOptions {
 struct RunResult {
   uint64_t executionNs = 0;           // measured program time (max rank clock)
   uint64_t totalInstructions = 0;
+  uint64_t totalEvents = 0;           // trace events emitted, all ranks
   std::vector<uint64_t> rankCommNs;   // per-rank time inside MPI ops
   std::vector<uint64_t> rankClockNs;  // per-rank final clock
   std::vector<int> deadRanks;         // ranks killed by the fault plan

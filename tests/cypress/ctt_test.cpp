@@ -25,7 +25,8 @@ struct Pipeline {
 /// Compile + instrument + run with both raw tracing and CYPRESS CTT
 /// recording attached.
 Pipeline runPipeline(const std::string& src, int ranks,
-                     TimeMode mode = TimeMode::MeanStddev) {
+                     TimeMode mode = TimeMode::MeanStddev,
+                     bool meterHooks = false) {
   Pipeline p;
   p.module = minic::compileProgram(src);
   cst::StaticResult sr = cst::analyzeAndInstrument(*p.module);
@@ -43,8 +44,10 @@ Pipeline runPipeline(const std::string& src, int ranks,
     p.raw.ranks[static_cast<size_t>(r)].rank = r;
     raws.push_back(std::make_unique<trace::RawRecorder>(
         p.raw.ranks[static_cast<size_t>(r)]));
-    p.recorders.push_back(std::make_unique<CttRecorder>(
-        p.cstTree, r, CttRecorder::Options(mode)));
+    CttRecorder::Options opts(mode);
+    opts.meterHooks = meterHooks;
+    p.recorders.push_back(
+        std::make_unique<CttRecorder>(p.cstTree, r, opts));
     auto tee = std::make_unique<trace::TeeObserver>();
     tee->add(raws.back().get());
     tee->add(p.recorders.back().get());
@@ -376,9 +379,18 @@ TEST(Ctt, RecorderCostMeterAccumulates) {
   auto p = runPipeline(R"(
     func main() {
       for (var k = 0; k < 200; k = k + 1) { mpi_allreduce(8); }
-    })", 2);
+    })", 2, TimeMode::MeanStddev, /*meterHooks=*/true);
   EXPECT_GT(p.recorders[0]->cost().totalNs(), 0u);
   EXPECT_GT(p.recorders[0]->memoryBytes(), 0u);
+  EXPECT_TRUE(p.recorders[0]->finalized());
+}
+
+TEST(Ctt, RecorderCostMeterStaysZeroWhenMeteringIsOff) {
+  auto p = runPipeline(R"(
+    func main() {
+      for (var k = 0; k < 200; k = k + 1) { mpi_allreduce(8); }
+    })", 2);
+  EXPECT_EQ(p.recorders[0]->cost().totalNs(), 0u);
   EXPECT_TRUE(p.recorders[0]->finalized());
 }
 

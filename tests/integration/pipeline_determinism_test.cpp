@@ -67,6 +67,26 @@ TEST(PipelineDeterminism, RunStageByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(PipelineDeterminism, HookMeteringDoesNotChangeArtifacts) {
+  // Opt-in hook metering only reads clocks around the hooks: the merged
+  // CYPC and every per-rank CYPP must be byte-identical with it on and
+  // off, at one and at several run threads.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    driver::Options opts = runStageOptions(threads);
+    opts.withRaw = false;
+    const driver::RunOutput off = driver::runWorkload("LU", opts);
+    opts.meterHooks = true;
+    const driver::RunOutput on = driver::runWorkload("LU", opts);
+    EXPECT_GT(on.cypressIntraSeconds(), 0.0);
+    EXPECT_EQ(off.cypressIntraSeconds(), 0.0);
+    ASSERT_FALSE(off.rankTraceFiles.empty());
+    EXPECT_EQ(on.rankTraceFiles, off.rankTraceFiles);
+    EXPECT_EQ(driver::mergeCypress(on, nullptr, threads).serialize(),
+              driver::mergeCypress(off, nullptr, threads).serialize());
+  }
+}
+
 TEST(PipelineDeterminism, WildcardHeavyRunByteIdenticalAcrossThreadCounts) {
   // Master/worker with MPI_ANY_SOURCE: the match order of wildcard
   // receives is exactly the place where a racy scheduler would leak

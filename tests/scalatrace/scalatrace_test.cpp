@@ -19,7 +19,8 @@ struct Run {
   std::vector<std::unique_ptr<Recorder>> recorders;
 };
 
-Run runWith(const std::string& src, int ranks, Flavor flavor) {
+Run runWith(const std::string& src, int ranks, Flavor flavor,
+            bool meterHooks = false) {
   Run out;
   auto m = minic::compileProgram(src);
   simmpi::Engine::Config cfg;
@@ -33,7 +34,9 @@ Run runWith(const std::string& src, int ranks, Flavor flavor) {
     out.raw.ranks[static_cast<size_t>(r)].rank = r;
     raws.push_back(std::make_unique<trace::RawRecorder>(
         out.raw.ranks[static_cast<size_t>(r)]));
-    out.recorders.push_back(std::make_unique<Recorder>(r, Recorder::Options(flavor)));
+    Recorder::Options opts(flavor);
+    opts.meterHooks = meterHooks;
+    out.recorders.push_back(std::make_unique<Recorder>(r, opts));
     auto tee = std::make_unique<trace::TeeObserver>();
     tee->add(raws.back().get());
     tee->add(out.recorders.back().get());
@@ -294,9 +297,18 @@ TEST(ScalaTrace, RecorderChargesIntraCost) {
   auto run = runWith(R"(
     func main() {
       for (var k = 0; k < 300; k = k + 1) { mpi_allreduce(8); }
-    })", 1, Flavor::V1);
+    })", 1, Flavor::V1, /*meterHooks=*/true);
   EXPECT_GT(run.recorders[0]->cost().totalNs(), 0u);
   EXPECT_GT(run.recorders[0]->memoryBytes(), 0u);
+}
+
+TEST(ScalaTrace, RecorderChargesNothingWhenMeteringIsOff) {
+  auto run = runWith(R"(
+    func main() {
+      for (var k = 0; k < 300; k = k + 1) { mpi_allreduce(8); }
+    })", 1, Flavor::V1);
+  EXPECT_EQ(run.recorders[0]->cost().totalNs(), 0u);
+  EXPECT_TRUE(run.recorders[0]->finalized());
 }
 
 }  // namespace

@@ -165,6 +165,43 @@ TEST(EngineUnit, WaitOnConsumedRequestIsAnError) {
   EXPECT_THROW(e.execute(0, w), Error);  // already consumed
 }
 
+TEST(EngineUnit, RetiredRequestsKeepTheirHandles) {
+  // Completed-and-waited requests are dropped from the rank's table as
+  // new ones arrive; handles keep counting up, and a retired handle
+  // still cannot be waited on twice.
+  Engine e = makeEngine(2);
+  OpDesc d;
+  d.op = ir::MpiOp::Isend;
+  d.peer = 1;
+  d.bytes = 8;
+  d.tag = 0;
+  OpDesc w;
+  w.op = ir::MpiOp::Wait;
+  for (int64_t want = 0; want < 5; ++want) {
+    int64_t req = -1;
+    ASSERT_EQ(e.execute(0, d, &req), OpStatus::Complete);
+    EXPECT_EQ(req, want);
+    w.waitReqId = req;
+    ASSERT_EQ(e.execute(0, w), OpStatus::Complete);
+  }
+  w.waitReqId = 0;
+  EXPECT_THROW(e.execute(0, w), Error);  // retired, already consumed
+  w.waitReqId = 5;
+  EXPECT_THROW(e.execute(0, w), Error);  // never issued
+}
+
+TEST(EngineUnit, EventCountCountsEmittedEvents) {
+  Engine e = makeEngine(2);
+  EXPECT_EQ(e.execute(1, recv(0, 64, 0)), OpStatus::Blocked);
+  EXPECT_EQ(e.eventCount(1), 0u);  // a blocked call has emitted nothing
+  for (int k = 0; k < 3; ++k)
+    EXPECT_EQ(e.execute(0, send(1, 64, 0)), OpStatus::Complete);
+  EXPECT_EQ(e.poll(1), OpStatus::Complete);
+  EXPECT_EQ(e.execute(1, recv(0, 64, 0)), OpStatus::Complete);
+  EXPECT_EQ(e.eventCount(0), 3u);
+  EXPECT_EQ(e.eventCount(1), 2u);
+}
+
 TEST(EngineUnit, FinalizeWithOutstandingRequestIsAnError) {
   Engine e = makeEngine(2);
   int64_t req = -1;

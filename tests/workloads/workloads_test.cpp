@@ -234,6 +234,39 @@ TEST(Driver, CompileStatsPopulated) {
   EXPECT_GT(run.plainCompileSeconds, 0.0);
 }
 
+TEST(Driver, RawlessRunVerifiesAndReportsNoRawBytes) {
+  // withRaw=false records no raw trace at all: roundtrip verification
+  // checks what was recorded instead of comparing against an empty raw
+  // trace, and the size report has no raw or gzip bytes to show.
+  Options opts;
+  opts.procs = 8;
+  opts.withRaw = false;
+  opts.verifyRoundtrip = true;  // throws on any failed check
+  RunOutput run = runWorkload("CG", opts);
+  EXPECT_TRUE(run.raw.ranks.empty());
+  EXPECT_GT(run.runStats.totalEvents, 0u);
+  EXPECT_TRUE(verifyRun(run).ok());
+  const SizeReport rep = computeSizes(run);
+  EXPECT_EQ(rep.rawBytes, 0u);
+  EXPECT_EQ(rep.gzipBytes, 0u);
+  EXPECT_GT(rep.cypressBytes, 0u);
+}
+
+TEST(Driver, MeteringIsOptIn) {
+  Options opts;
+  opts.procs = 8;
+  opts.withRaw = false;
+  RunOutput off = runWorkload("CG", opts);
+  EXPECT_EQ(off.cypressIntraSeconds(), 0.0);
+  EXPECT_EQ(off.scalaIntraSeconds(), 0.0);
+  EXPECT_EQ(off.scala2IntraSeconds(), 0.0);
+  opts.meterHooks = true;
+  RunOutput on = runWorkload("CG", opts);
+  EXPECT_GT(on.cypressIntraSeconds(), 0.0);
+  EXPECT_GT(on.scalaIntraSeconds(), 0.0);
+  EXPECT_GT(on.scala2IntraSeconds(), 0.0);
+}
+
 TEST(Driver, BaselineMeasurement) {
   Options opts;
   opts.procs = 8;

@@ -249,11 +249,15 @@ io::IoBackend* faultIo(const Args& a,
   return faulty.get();
 }
 
+/// `allTools` (compare, verify) runs the ScalaTrace baselines next to
+/// CYPRESS and keeps the raw trace those commands check against; `run`
+/// records CYPRESS alone and takes its event count from the engine.
 driver::RunOutput runTarget(const Args& a, bool allTools) {
   driver::Options opts;
   opts.procs = a.procs;
   opts.scale = a.scale;
   opts.threads = a.threads;
+  opts.withRaw = allTools;
   opts.withScala = allTools;
   opts.withScala2 = allTools;
   for (const std::string& spec : a.faultSpecs)
@@ -286,9 +290,10 @@ int cmdRun(const Args& a) {
     outBytes = w.size();
     writer.commit();
   }
-  std::printf("traced %s on %d ranks: %zu events -> %s (%s)\n", a.target.c_str(),
-              a.procs, run.raw.totalEvents(), out.c_str(),
-              humanBytes(outBytes).c_str());
+  std::printf("traced %s on %d ranks: %llu events -> %s (%s)\n",
+              a.target.c_str(), a.procs,
+              static_cast<unsigned long long>(run.runStats.totalEvents),
+              out.c_str(), humanBytes(outBytes).c_str());
   if (!run.runStats.clean()) {
     std::printf("partial run:");
     for (int r : run.runStats.deadRanks) std::printf(" rank %d killed", r);
