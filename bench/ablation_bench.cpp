@@ -35,7 +35,7 @@ size_t cypressSizeWith(const std::string& name, int procs, int window,
         sr.cst, r, core::CttRecorder::Options(mode, window)));
     obs.push_back(recs.back().get());
   }
-  vm::run(*m, engine, obs, 1ull << 32);
+  vm::run(*m, engine, obs, {.instructionLimitPerRank = 1ull << 32});
   std::vector<const core::Ctt*> ctts;
   for (const auto& r : recs) ctts.push_back(&r->ctt());
   return core::mergeAll(ctts).serialize().size();

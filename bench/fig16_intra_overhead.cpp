@@ -1,5 +1,6 @@
 // Figure 16: intra-process compression overhead — per-tool hook CPU time
-// relative to the untraced run, and per-process compressor memory.
+// relative to the simulated application time, and per-process
+// compressor memory.
 #include <cstdio>
 
 #include "bench_util.hpp"

@@ -27,19 +27,6 @@ size_t avgMemory(const Recorders& recs) {
   return total / recs.size();
 }
 
-/// Stream one rank's CYPP through the shard compressor into `sink`:
-/// serialized bytes leave the writer in shard-sized slices and are
-/// compressed as they are cut — the full serialized vector never
-/// exists. Byte-identical to flate::compress(ctt.serialize()).
-flate::StreamingCompressor::Totals compressCttTo(const core::Ctt& ctt,
-                                                 ByteSink& sink, int threads) {
-  flate::StreamingCompressor sc(sink, flate::Level::Default, threads);
-  ByteWriter w(sc);
-  ctt.serializeTo(w);
-  w.flush();
-  return sc.finish();
-}
-
 }  // namespace
 
 double RunOutput::cypressIntraSeconds() const { return sumCostSeconds(cypress); }
@@ -60,16 +47,6 @@ RankSet RunOutput::lostRanks() const {
 std::shared_ptr<const CompiledProgram> compileForTracing(
     const std::string& source) {
   auto out = std::make_shared<CompiledProgram>();
-
-  // Plain compile (Table I baseline).
-  {
-    Stopwatch w;
-    auto plain = minic::compileProgram(source);
-    out->plainCompileSeconds = w.seconds();
-    (void)plain;
-  }
-
-  // Compile + CYPRESS static phase.
   std::unique_ptr<ir::Module> module = minic::compileProgram(source);
   cst::StaticResult sr = cst::analyzeAndInstrument(*module);
   out->module = std::move(module);
@@ -91,22 +68,6 @@ RunOutput runSource(const std::string& name, const std::string& source,
   out.module = prog->module;
   out.cst = prog->cst;
   out.compileStats = prog->stats;
-  out.plainCompileSeconds = prog->plainCompileSeconds;
-
-  // Optional untraced baseline run.
-  if (opts.measureBaseline) {
-    simmpi::Engine::Config cfg = opts.engine;
-    cfg.numRanks = opts.procs;
-    simmpi::Engine engine(cfg);
-    std::vector<trace::Observer*> none(static_cast<size_t>(opts.procs), nullptr);
-    vm::RunOptions baseOpts;
-    baseOpts.onStall = opts.onStall;
-    baseOpts.threads = opts.threads;
-    baseOpts.cancel = opts.cancel;
-    Stopwatch w;
-    vm::run(*out.module, engine, none, baseOpts);
-    out.baselineWallSeconds = w.seconds();
-  }
 
   // Traced run with all requested tools observing the same events.
   simmpi::Engine::Config cfg = opts.engine;
@@ -120,7 +81,7 @@ RunOutput runSource(const std::string& name, const std::string& source,
   std::vector<std::unique_ptr<trace::RawRecorder>> raws;
   std::vector<std::unique_ptr<trace::TeeObserver>> tees;
   std::vector<trace::Observer*> obs;
-  core::CttRecorder::Options cypressOpts(opts.timeMode);
+  core::CttRecorder::Options cypressOpts(core::TimeMode::MeanStddev);
   scalatrace::Recorder::Options scalaOpts(scalatrace::Flavor::V1);
   scalatrace::Recorder::Options scala2Opts(scalatrace::Flavor::V2);
   cypressOpts.meterHooks = scalaOpts.meterHooks = scala2Opts.meterHooks =
@@ -161,9 +122,7 @@ RunOutput runSource(const std::string& name, const std::string& source,
   runOpts.onStall = opts.onStall;
   runOpts.threads = opts.threads;
   runOpts.cancel = opts.cancel;
-  Stopwatch w;
   out.runStats = vm::run(*out.module, engine, obs, runOpts);
-  out.tracedWallSeconds = w.seconds();
 
   // Seal the journal: every rank has now either finalized (FINALIZE
   // segment already appended) or is recorded as lost. Stalled ranks are
@@ -176,32 +135,6 @@ RunOutput runSource(const std::string& name, const std::string& source,
     for (int r : out.runStats.stalledRanks)
       out.journalRecorders[static_cast<size_t>(r)]->flush();
     out.journal->seal(out.lostRanks());
-  }
-
-  // Per-rank fan-out (the paper's deployment model: every process
-  // writes its own compressed trace at finalize). Each rank's
-  // serialization + compression is an independent pool task — ranks
-  // share no state — and results land in rank-indexed slots, so the
-  // files are byte-identical for any thread count.
-  if (opts.emitRankTraces && opts.withCypress) {
-    out.rankTraceFiles.resize(out.cypress.size());
-    parallelFor(out.cypress.size(), opts.threads, [&](size_t r) {
-      if (!out.cypress[r]->finalized()) return;  // lost rank: empty entry
-      // Streaming serialize→compress (single lane per rank; the fan-out
-      // across ranks is the parallelism): shards leave the serializer
-      // as they are cut, so peak memory per rank is one shard plus the
-      // compressed output instead of both full streams.
-      VectorSink sink;
-      compressCttTo(out.cypress[r]->ctt(), sink, /*threads=*/1);
-      out.rankTraceFiles[r] = sink.take();
-    });
-  }
-
-  if (opts.verifyRoundtrip) {
-    const verify::Report rep = verifyRun(out, opts.threads);
-    CYP_CHECK(rep.ok(),
-              "roundtrip verification failed for " << name << ":\n"
-                                                   << rep.toString());
   }
   return out;
 }
@@ -331,21 +264,11 @@ constexpr uint64_t kRankDirVersion = 1;
 
 RankSet writeRankTraces(const RunOutput& run, const std::string& dir,
                         io::IoBackend* io, int threads) {
+  CYP_CHECK(!run.cypress.empty(),
+            "writeRankTraces: the run has no CYPRESS recorders (trace it "
+            "with Options::withCypress)");
   io::IoBackend& be = io ? *io : io::realIo();
-  // Prefer streaming straight from the recorders: each rank's CYPP is
-  // serialized into the shard compressor and drained through an
-  // AtomicFileWriter, so shards leave RAM as they are cut and no rank
-  // ever exists as serialized-plus-compressed buffers. The
-  // pre-compressed rankTraceFiles path remains for callers that only
-  // kept the buffers (the bytes are identical either way). Ranks are
-  // written in order — deterministic I/O ordinals for fault plans —
-  // while `threads` parallelizes shard compression within a rank.
-  const bool fromRecorders = !run.cypress.empty();
-  CYP_CHECK(fromRecorders || !run.rankTraceFiles.empty(),
-            "writeRankTraces: the run has no per-rank traces (run with "
-            "Options::withCypress or Options::emitRankTraces)");
-  const size_t numRanks =
-      fromRecorders ? run.cypress.size() : run.rankTraceFiles.size();
+  const size_t numRanks = run.cypress.size();
   be.createDirectories(dir);
 
   ByteWriter meta;
@@ -358,22 +281,20 @@ RankSet writeRankTraces(const RunOutput& run, const std::string& dir,
 
   RankSet lost;
   for (size_t r = 0; r < numRanks; ++r) {
-    const std::string path = dir + "/" + rankFileName(static_cast<int>(r));
-    if (fromRecorders) {
-      if (!run.cypress[r]->finalized()) {  // lost rank: no file
-        lost.insert(static_cast<int>(r));
-        continue;
-      }
-      io::AtomicFileWriter out(be, path);
-      compressCttTo(run.cypress[r]->ctt(), out, threads);
-      out.commit();
-    } else {
-      if (run.rankTraceFiles[r].empty()) {
-        lost.insert(static_cast<int>(r));
-        continue;
-      }
-      io::writeFileAtomic(be, path, run.rankTraceFiles[r]);
+    if (!run.cypress[r]->finalized()) {  // lost rank: no file
+      lost.insert(static_cast<int>(r));
+      continue;
     }
+    // Serialized bytes are compressed as the shard compressor cuts
+    // them, so the full CYPP never exists in RAM; the file is
+    // byte-identical to flate::compress(ctt.serialize()).
+    io::AtomicFileWriter out(be, dir + "/" + rankFileName(static_cast<int>(r)));
+    flate::StreamingCompressor sc(out, flate::Level::Default, threads);
+    ByteWriter w(sc);
+    run.cypress[r]->ctt().serializeTo(w);
+    w.flush();
+    sc.finish();
+    out.commit();
   }
   return lost;
 }

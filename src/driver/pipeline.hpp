@@ -41,7 +41,6 @@ struct CompiledProgram {
   std::shared_ptr<const ir::Module> module;
   std::shared_ptr<const cst::Tree> cst;
   cst::CompileStats stats;
-  double plainCompileSeconds = 0.0;
 };
 
 /// Run the compile + CYPRESS static phase only (no simulated execution).
@@ -52,19 +51,12 @@ struct Options {
   int procs = 8;
   int scale = 1;
   /// Parallelism of the traced run itself (the epoch scheduler's local
-  /// phases, see vm/runner.hpp) and of the post-run pipeline stages
-  /// (per-rank trace serialization/compression, the inter-process merge
-  /// reduction, and flate sharding). All parallel stages are fixed-order
-  /// fan-outs on the shared pool (support/thread_pool.hpp) with a
-  /// deterministic commit order, so every produced trace is
-  /// byte-identical for any value of `threads`.
+  /// phases, see vm/runner.hpp). The post-run stages take their own
+  /// `threads` argument. All parallel stages are fixed-order fan-outs
+  /// on the shared pool (support/thread_pool.hpp) with a deterministic
+  /// commit order, so every produced trace is byte-identical for any
+  /// value of `threads`.
   int threads = 1;
-  /// Also produce per-rank compressed CYPP trace files (the paper's
-  /// deployment model: each process writes flate(ctt) at MPI_Finalize).
-  /// Built as independent pool tasks, collected in rank order, in
-  /// RunOutput::rankTraceFiles. Ranks that did not finalize get an
-  /// empty entry.
-  bool emitRankTraces = false;
   /// Record the full raw event trace in RunOutput::raw. Only needed by
   /// consumers of the expanded trace (raw sizes, roundtrip
   /// decompression checks, raw-scan oracles); its memory grows with the
@@ -74,7 +66,6 @@ struct Options {
   bool withScala = true;
   bool withScala2 = true;
   bool withCypress = true;
-  core::TimeMode timeMode = core::TimeMode::MeanStddev;
   /// Charge every recorder hook to its CostMeter (two clock reads per
   /// hook call), feeding RunOutput::*IntraSeconds() — the paper's
   /// Fig. 16 intra-process overhead. Off by default; those accessors
@@ -91,19 +82,12 @@ struct Options {
   /// diagnostics; Salvage finishes normally with the stalled ranks in
   /// RunOutput::runStats so partial traces can still be recovered.
   vm::OnStall onStall = vm::OnStall::Throw;
-  /// Also run once with no observers to obtain the untraced baseline
-  /// wall time (needed for overhead percentages).
-  bool measureBaseline = false;
-  /// After the run, roundtrip-verify every produced trace (serialize →
-  /// deserialize → re-serialize byte stability, plus decompression
-  /// against the raw trace when recorded) and throw on any mismatch.
-  bool verifyRoundtrip = false;
   /// Skip compilation + static analysis and reuse this program instead
   /// (must have been produced by compileForTracing over the same
   /// source). The run output shares — not copies — the module and CST.
   std::shared_ptr<const CompiledProgram> precompiled;
-  /// Cooperative cancellation flag for the traced (and baseline) run,
-  /// forwarded to vm::RunOptions::cancel; see there for semantics.
+  /// Cooperative cancellation flag for the traced run, forwarded to
+  /// vm::RunOptions::cancel; see there for semantics.
   const std::atomic<bool>* cancel = nullptr;
   /// Optional sink receiving every appended CYJ1 journal chunk (header
   /// included) as soon as it is written, so a server can stream the
@@ -123,7 +107,6 @@ struct RunOutput {
   std::shared_ptr<const ir::Module> module;
   std::shared_ptr<const cst::Tree> cst;
   cst::CompileStats compileStats;
-  double plainCompileSeconds = 0.0;  // compile without the CYPRESS pass
 
   trace::RawTrace raw;
   std::vector<std::unique_ptr<core::CttRecorder>> cypress;
@@ -134,18 +117,11 @@ struct RunOutput {
   std::unique_ptr<trace::JournalBuilder> journal;
   std::vector<std::unique_ptr<trace::JournalRecorder>> journalRecorders;
 
-  /// Per-rank compressed CYPP trace files (only when
-  /// Options::emitRankTraces); index is the rank, entries for
-  /// unfinalized (killed/stalled) ranks are empty.
-  std::vector<std::vector<uint8_t>> rankTraceFiles;
-
   /// Ranks whose traces are incomplete: killed by the fault plan or
   /// still blocked when a stalled run was salvaged.
   RankSet lostRanks() const;
 
   vm::RunResult runStats;
-  double tracedWallSeconds = 0.0;
-  double baselineWallSeconds = 0.0;  // only when measureBaseline
 
   /// Sum of per-rank intra-process hook costs (seconds); 0 unless the
   /// run set Options::meterHooks.
@@ -210,14 +186,14 @@ verify::Report verifyRun(const RunOutput& run, int threads = 1);
 ///
 /// Every file is written atomically (tmp + fsync + rename) through
 /// `io` (null = real backend), so a crash mid-emit never leaves a
-/// torn file under a final name. When the run holds CYPRESS recorders
-/// (Options::withCypress) each rank streams serialize→compress→write
-/// directly from its recorder — shards leave RAM as they are cut, no
-/// per-rank buffer needed; otherwise the pre-built rankTraceFiles
-/// (Options::emitRankTraces) are written as-is. Ranks are emitted in
-/// order (deterministic I/O ordinals for --io-fault plans); `threads`
-/// fans out shard compression within a rank. Returns the ranks with
-/// no file (the run's lost ranks) so callers can report coverage.
+/// torn file under a final name. Each rank streams
+/// serialize→compress→write straight from its CYPRESS recorder, so
+/// shards leave RAM as they are cut. A run traced without
+/// Options::withCypress throws cypress::Error before anything is
+/// written. Ranks are emitted in order (deterministic I/O ordinals for
+/// --io-fault plans); `threads` fans out shard compression within a
+/// rank. Returns the ranks with no file (the run's lost ranks) so
+/// callers can report coverage.
 RankSet writeRankTraces(const RunOutput& run, const std::string& dir,
                         io::IoBackend* io = nullptr, int threads = 1);
 

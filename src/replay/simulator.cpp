@@ -5,8 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "cypress/decompress.hpp"
 #include "cypress/merge.hpp"
-#include "query/cursor.hpp"
 #include "query/engine.hpp"
 #include "support/error.hpp"
 
@@ -58,7 +58,7 @@ class CompressedSource final : public EventSource {
   void advance(size_t r) override { cursors_[r].next(); }
 
  private:
-  std::vector<query::CompressedCursor> cursors_;
+  std::vector<core::CompressedCursor> cursors_;
 };
 
 /// FIFO channel key for p2p matching.

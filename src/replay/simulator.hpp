@@ -11,7 +11,7 @@
 // The simulator only ever inspects each rank's *current* event, so it
 // consumes an event-at-a-time source rather than materialized vectors:
 // the MergedCtt overloads drive it straight off the compressed trace
-// through query::CompressedCursor — per-rank memory is the cursor
+// through core::CompressedCursor — per-rank memory is the cursor
 // state, not the decompressed event vector.
 #pragma once
 

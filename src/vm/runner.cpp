@@ -108,12 +108,4 @@ RunResult run(const ir::Module& m, simmpi::Engine& engine,
   return out;
 }
 
-RunResult run(const ir::Module& m, simmpi::Engine& engine,
-              const std::vector<trace::Observer*>& observers,
-              uint64_t instructionLimitPerRank) {
-  RunOptions opts;
-  opts.instructionLimitPerRank = instructionLimitPerRank;
-  return run(m, engine, observers, opts);
-}
-
 }  // namespace cypress::vm

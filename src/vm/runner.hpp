@@ -75,11 +75,6 @@ struct RunResult {
 /// returns normally with the stalled ranks recorded in the result.
 RunResult run(const ir::Module& m, simmpi::Engine& engine,
               const std::vector<trace::Observer*>& observers,
-              const RunOptions& opts);
-
-/// Backward-compatible overload (OnStall::Throw).
-RunResult run(const ir::Module& m, simmpi::Engine& engine,
-              const std::vector<trace::Observer*>& observers,
-              uint64_t instructionLimitPerRank = 1ull << 40);
+              const RunOptions& opts = {});
 
 }  // namespace cypress::vm

@@ -44,7 +44,7 @@ void expectPipelineLossless(std::unique_ptr<ir::Module> m, int ranks) {
     tees.push_back(std::move(tee));
     obs.push_back(tees.back().get());
   }
-  vm::run(*m, engine, obs, 1ull << 26);
+  vm::run(*m, engine, obs, {.instructionLimitPerRank = 1ull << 26});
 
   std::vector<const core::Ctt*> ctts;
   for (const auto& c : cyps) ctts.push_back(&c->ctt());

@@ -54,7 +54,7 @@ Pipeline runPipeline(const std::string& src, int ranks,
     tees.push_back(std::move(tee));
     obs.push_back(tees.back().get());
   }
-  vm::run(*p.module, engine, obs, 1ull << 27);
+  vm::run(*p.module, engine, obs, {.instructionLimitPerRank = 1ull << 27});
   return p;
 }
 

@@ -88,7 +88,6 @@ struct Fixture {
       opts.withRaw = false;
       opts.withScala = false;
       opts.withScala2 = false;
-      opts.emitRankTraces = true;
       auto run = driver::runWorkload("JACOBI", opts);
       const std::string dir = freshDir("cyp_smerge_ranks");
       driver::writeRankTraces(run, dir);

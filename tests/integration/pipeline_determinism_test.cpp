@@ -5,6 +5,10 @@
 // scheduler or the post-run stages fan out on.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -14,11 +18,35 @@
 namespace cypress {
 namespace {
 
+namespace fs = std::filesystem;
+
+/// The per-rank CYPP files driver::writeRankTraces writes for `run`
+/// (shard compression on `threads` lanes), read back in rank order.
+/// Each one must equal the reference flate::compress(ctt.serialize()).
+std::vector<std::vector<uint8_t>> rankTraceFiles(const driver::RunOutput& run,
+                                                 int threads) {
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("cyp-det-ranks." + std::to_string(getpid())))
+          .string();
+  fs::remove_all(dir);
+  EXPECT_TRUE(driver::writeRankTraces(run, dir, nullptr, threads).empty());
+  std::vector<std::vector<uint8_t>> files;
+  for (size_t r = 0; r < run.cypress.size(); ++r) {
+    char name[32];
+    std::snprintf(name, sizeof name, "/rank-%05zu.cypp", r);
+    files.push_back(io::realIo().readAll(dir + name));
+    EXPECT_EQ(files.back(), flate::compress(run.cypress[r]->ctt().serialize()))
+        << "rank " << r;
+  }
+  fs::remove_all(dir);
+  return files;
+}
+
 driver::RunOutput runCg(int threads) {
   driver::Options opts;
   opts.procs = 32;
   opts.threads = threads;
-  opts.emitRankTraces = true;
   opts.withScala = false;  // keep the fixture fast; scala is untouched here
   return driver::runWorkload("CG", opts);
 }
@@ -27,18 +55,18 @@ driver::Options runStageOptions(int threads) {
   driver::Options opts;
   opts.procs = 16;
   opts.threads = threads;
-  opts.emitRankTraces = true;
   opts.withJournal = true;
   opts.withScala = false;
   opts.withScala2 = false;
   return opts;
 }
 
-/// Every run-stage artifact of `got` must equal `ref`'s, byte for byte.
+/// Every run-stage artifact of `got` (traced on `threads` threads) must
+/// equal `ref`'s, byte for byte.
 void expectSameRunArtifacts(const driver::RunOutput& ref,
-                            const driver::RunOutput& got) {
+                            const driver::RunOutput& got, int threads) {
   EXPECT_EQ(got.raw.serialize(), ref.raw.serialize());
-  EXPECT_EQ(got.rankTraceFiles, ref.rankTraceFiles);
+  EXPECT_EQ(rankTraceFiles(got, threads), rankTraceFiles(ref, 1));
   EXPECT_EQ(driver::mergeCypress(got).serialize(),
             driver::mergeCypress(ref).serialize());
   ASSERT_NE(ref.journal, nullptr);
@@ -62,7 +90,7 @@ TEST(PipelineDeterminism, RunStageByteIdenticalAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       const driver::RunOutput got =
           driver::runWorkload(name, runStageOptions(threads));
-      expectSameRunArtifacts(ref, got);
+      expectSameRunArtifacts(ref, got, threads);
     }
   }
 }
@@ -80,8 +108,9 @@ TEST(PipelineDeterminism, HookMeteringDoesNotChangeArtifacts) {
     const driver::RunOutput on = driver::runWorkload("LU", opts);
     EXPECT_GT(on.cypressIntraSeconds(), 0.0);
     EXPECT_EQ(off.cypressIntraSeconds(), 0.0);
-    ASSERT_FALSE(off.rankTraceFiles.empty());
-    EXPECT_EQ(on.rankTraceFiles, off.rankTraceFiles);
+    const auto offFiles = rankTraceFiles(off, threads);
+    ASSERT_FALSE(offFiles.empty());
+    EXPECT_EQ(rankTraceFiles(on, threads), offFiles);
     EXPECT_EQ(driver::mergeCypress(on, nullptr, threads).serialize(),
               driver::mergeCypress(off, nullptr, threads).serialize());
   }
@@ -120,7 +149,7 @@ TEST(PipelineDeterminism, WildcardHeavyRunByteIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const driver::RunOutput got =
         driver::runSource("wildcard", source, runStageOptions(threads));
-    expectSameRunArtifacts(ref, got);
+    expectSameRunArtifacts(ref, got, threads);
   }
 }
 
@@ -129,13 +158,14 @@ TEST(PipelineDeterminism, FullRunByteIdenticalAcrossThreadCounts) {
   const core::MergedCtt refMerged = driver::mergeCypress(ref, nullptr, 1);
   const auto refBytes = refMerged.serialize();
   ASSERT_FALSE(refBytes.empty());
-  ASSERT_EQ(ref.rankTraceFiles.size(), 32u);
-  for (const auto& f : ref.rankTraceFiles) EXPECT_FALSE(f.empty());
+  const auto refFiles = rankTraceFiles(ref, 1);
+  ASSERT_EQ(refFiles.size(), 32u);
+  for (const auto& f : refFiles) EXPECT_FALSE(f.empty());
 
   const driver::RunOutput par = runCg(8);
   const core::MergedCtt parMerged = driver::mergeCypress(par, nullptr, 8);
   EXPECT_EQ(parMerged.serialize(), refBytes);
-  EXPECT_EQ(par.rankTraceFiles, ref.rankTraceFiles);
+  EXPECT_EQ(rankTraceFiles(par, 8), refFiles);
 }
 
 TEST(PipelineDeterminism, SizeReportIndependentOfThreadCount) {

@@ -16,6 +16,7 @@
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
 #include "flate/stream.hpp"
+#include "support/error.hpp"
 #include "support/io.hpp"
 #include "support/rng.hpp"
 
@@ -44,7 +45,6 @@ const driver::RunOutput& cgRun() {
   static const driver::RunOutput run = [] {
     driver::Options opts;
     opts.procs = 16;
-    opts.emitRankTraces = true;  // also build the legacy in-RAM files
     opts.withScala2 = false;
     return driver::runWorkload("CG", opts);
   }();
@@ -77,12 +77,9 @@ std::vector<uint8_t> streamRaw(const P& producer) {
 
 TEST(StreamingArtifacts, CyppStreamedEqualsMaterializedAtEveryThreadCount) {
   const driver::RunOutput& run = cgRun();
-  ASSERT_EQ(run.rankTraceFiles.size(), 16u);
+  ASSERT_EQ(run.cypress.size(), 16u);
   for (size_t r = 0; r < run.cypress.size(); ++r) {
     const auto materialized = flate::compress(run.cypress[r]->ctt().serialize());
-    // The pre-built emitRankTraces file is the same bytes...
-    EXPECT_EQ(run.rankTraceFiles[r], materialized) << "rank " << r;
-    // ...and so is the streamed serialize→compress chain, at any width.
     for (int threads : {1, 2, 4, 8}) {
       EXPECT_EQ(streamCompressed(run.cypress[r]->ctt(), threads), materialized)
           << "rank " << r << " threads " << threads;
@@ -150,9 +147,9 @@ TEST(StreamingArtifacts, WriteRankTracesStreamsFromRecorders) {
     char name[32];
     std::snprintf(name, sizeof name, "/rank-%05zu.cypp", r);
     const auto bytes = fileBytes(ref + name);
-    // On-disk file == the legacy in-RAM emitRankTraces bytes, and the
-    // shard-parallel writer changes nothing.
-    EXPECT_EQ(bytes, run.rankTraceFiles[r]) << r;
+    // On-disk file == the materialized flate(serialize()) bytes, and
+    // the shard-parallel writer changes nothing.
+    EXPECT_EQ(bytes, flate::compress(run.cypress[r]->ctt().serialize())) << r;
     EXPECT_EQ(fileBytes(par + name), bytes) << r;
   }
   // The directory still opens and round-trips through the merge input.
@@ -165,6 +162,24 @@ TEST(StreamingArtifacts, WriteRankTracesStreamsFromRecorders) {
   }
   fs::remove_all(ref);
   fs::remove_all(par);
+}
+
+TEST(StreamingArtifacts, WriteRankTracesRefusesARunWithoutCypress) {
+  // Per-rank files stream only from CYPRESS recorders; a run traced
+  // without them is refused before anything touches the disk.
+  driver::Options opts;
+  opts.procs = 4;
+  opts.withRaw = false;
+  opts.withCypress = false;
+  opts.withScala2 = false;
+  const driver::RunOutput run = driver::runWorkload("JACOBI", opts);
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("cyp-stream-nocyp." + std::to_string(getpid())))
+          .string();
+  fs::remove_all(dir);
+  EXPECT_THROW(driver::writeRankTraces(run, dir), Error);
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 TEST(StreamingArtifacts, AtomicWriterAsSinkCommitsExactStream) {

@@ -6,9 +6,9 @@
 // arithmetic and the cursor walk.
 #include <gtest/gtest.h>
 
+#include "cypress/decompress.hpp"
 #include "cypress/merge.hpp"
 #include "driver/pipeline.hpp"
-#include "query/cursor.hpp"
 #include "query/query.hpp"
 #include "verify/fuzz.hpp"
 
@@ -50,7 +50,7 @@ TEST(QueryFuzz, TruncatedTracesNeverEscapeTheErrorContract) {
     core::MergedCtt m = core::MergedCtt::deserializeWithTree(bytes, tree);
     runQuery(m, "summary");
     // The cursor walk must hold the same line event-by-event.
-    CompressedCursor cur(m, 0);
+    core::CompressedCursor cur(m, 0);
     while (!cur.done()) cur.next();
   };
   const verify::FuzzReport rep =

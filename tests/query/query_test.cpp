@@ -9,7 +9,6 @@
 
 #include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
-#include "query/cursor.hpp"
 #include "query/engine.hpp"
 #include "query/query.hpp"
 #include "support/error.hpp"
@@ -139,7 +138,7 @@ TEST(QueryCursor, StreamsExactlyTheDecompressedSequence) {
   const RankSet covered = coveredRanks(m);
   for (int32_t r : covered.ranks()) {
     const auto events = core::decompressRank(m, r);
-    CompressedCursor cur(m, r);
+    core::CompressedCursor cur(m, r);
     size_t i = 0;
     while (!cur.done()) {
       ASSERT_LT(i, events.size()) << "rank " << r;
@@ -157,7 +156,7 @@ TEST(QueryCursor, CursorStateIsSmallerThanTheExpandedVector) {
   const Compressed c = mergedFor("JACOBI", 8, 4);
   const core::MergedCtt& m = c.m;
   const auto events = core::decompressRank(m, 1);
-  CompressedCursor cur(m, 1);
+  core::CompressedCursor cur(m, 1);
   while (!cur.done()) cur.next();
   EXPECT_LT(cur.memoryBytes(), events.size() * sizeof(trace::Event) / 4)
       << "cursor state should stay far below the materialized stream";
@@ -174,7 +173,7 @@ TEST(QueryCursor, LostRankThrowsLikeDecompressRank) {
   core::MergedCtt m = driver::mergeCypress(run);
   ASSERT_TRUE(m.lostRanks().contains(2));
   EXPECT_THROW(core::decompressRank(m, 2), Error);
-  CompressedCursor cur(m, 2);
+  core::CompressedCursor cur(m, 2);
   EXPECT_THROW(cur.done(), Error);
 }
 

@@ -38,7 +38,8 @@ Traced runTraced(const std::string& src, int ranks, double jitter = 0.0) {
         out.raw.ranks[static_cast<size_t>(r)]));
     obs.push_back(raws.back().get());
   }
-  out.measured = vm::run(*m, engine, obs, 1ull << 27);
+  out.measured =
+      vm::run(*m, engine, obs, {.instructionLimitPerRank = 1ull << 27});
   return out;
 }
 
@@ -165,7 +166,8 @@ TEST(Replay, PredictionMatchesMeasuredWithinTolerance) {
     recs.push_back(std::make_unique<core::CttRecorder>(sr.cst, r));
     obs.push_back(recs.back().get());
   }
-  auto measured = vm::run(*m, engine, obs, 1ull << 27);
+  auto measured =
+      vm::run(*m, engine, obs, {.instructionLimitPerRank = 1ull << 27});
 
   std::vector<const core::Ctt*> ctts;
   for (const auto& r : recs) ctts.push_back(&r->ctt());
@@ -238,7 +240,7 @@ MergedTrace mergeTraced(const std::string& src, int ranks) {
     recs.push_back(std::make_unique<core::CttRecorder>(sr->cst, r));
     obs.push_back(recs.back().get());
   }
-  vm::run(*m, engine, obs, 1ull << 28);
+  vm::run(*m, engine, obs, {.instructionLimitPerRank = 1ull << 28});
   std::vector<const core::Ctt*> ctts;
   for (const auto& r : recs) ctts.push_back(&r->ctt());
   return MergedTrace{sr, core::mergeAll(ctts)};

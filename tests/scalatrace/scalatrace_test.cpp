@@ -43,7 +43,7 @@ Run runWith(const std::string& src, int ranks, Flavor flavor,
     tees.push_back(std::move(tee));
     obs.push_back(tees.back().get());
   }
-  vm::run(*m, engine, obs, 1ull << 27);
+  vm::run(*m, engine, obs, {.instructionLimitPerRank = 1ull << 27});
   return out;
 }
 

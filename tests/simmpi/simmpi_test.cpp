@@ -33,7 +33,7 @@ trace::RawTrace runRaw(const std::string& src, int ranks,
     recs.push_back(std::make_unique<trace::RawRecorder>(out.ranks[static_cast<size_t>(r)]));
     obs.push_back(recs.back().get());
   }
-  vm::run(*m, engine, obs, 1ull << 26);
+  vm::run(*m, engine, obs, {.instructionLimitPerRank = 1ull << 26});
   return out;
 }
 

@@ -65,15 +65,6 @@ TEST_P(RoundtripWorkload, ByteStableAtEightAndSixteenRanks) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, RoundtripWorkload,
                          ::testing::ValuesIn(workloads::allNames()));
 
-TEST(Roundtrip, DriverOptionThrowsOnNothing) {
-  // The Options::verifyRoundtrip flag runs the verifier inline; a clean
-  // workload must pass without throwing.
-  driver::Options opts;
-  opts.procs = 8;
-  opts.verifyRoundtrip = true;
-  EXPECT_NO_THROW(driver::runWorkload("JACOBI", opts));
-}
-
 TEST(Roundtrip, VerifyTraceFileDispatchesOnMagic) {
   const auto run = runAllTools("JACOBI", 8);
   const auto merged = driver::mergeCypress(run);

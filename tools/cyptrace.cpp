@@ -162,6 +162,19 @@ uint64_t parseByteCount(const std::string& s) {
   return std::stoull(num) * mult;
 }
 
+/// Parse a count flag that must be at least 1 (--procs, --threads);
+/// anything lower is a usage error naming the flag, raised before any
+/// work starts.
+int parseCount(const std::string& flag, const std::string& v) {
+  const int n = std::stoi(v);
+  if (n < 1) {
+    std::fprintf(stderr, "cyptrace: %s must be at least 1, got %s\n",
+                 flag.c_str(), v.c_str());
+    std::exit(2);
+  }
+  return n;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 3) usage();
@@ -186,9 +199,9 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (flag == "--procs") a.procs = std::stoi(value());
+    if (flag == "--procs") a.procs = parseCount(flag, value());
     else if (flag == "--scale") a.scale = std::stoi(value());
-    else if (flag == "--threads") a.threads = std::stoi(value());
+    else if (flag == "--threads") a.threads = parseCount(flag, value());
     else if (flag == "--rank") a.rank = std::stoi(value());
     else if (flag == "--limit") a.limit = std::stoi(value());
     else if (flag == "--out") a.out = value();
@@ -580,7 +593,7 @@ int main(int argc, char** argv) {
     const Args a = parse(argc, argv);
     // Size the shared pool to the request: --threads is a promise about
     // how many cores we occupy, not just a fan-out width.
-    ThreadPool::configureShared(static_cast<unsigned>(std::max(1, a.threads)));
+    ThreadPool::configureShared(static_cast<unsigned>(a.threads));
     if (a.command == "run") return cmdRun(a);
     if (a.command == "recover") return cmdRecover(a);
     if (a.command == "merge") return cmdMerge(a);

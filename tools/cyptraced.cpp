@@ -99,6 +99,19 @@ struct Args {
   std::exit(2);
 }
 
+/// Parse a count flag that must be at least 1 (--procs, --threads);
+/// anything lower is a usage error naming the flag, raised before any
+/// work starts.
+int parseCount(const std::string& flag, const std::string& v) {
+  const int n = std::stoi(v);
+  if (n < 1) {
+    std::fprintf(stderr, "cyptraced: %s must be at least 1, got %s\n",
+                 flag.c_str(), v.c_str());
+    std::exit(2);
+  }
+  return n;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) usage();
@@ -117,9 +130,9 @@ Args parse(int argc, char** argv) {
     else if (flag == "--client-cap") a.clientCap = std::stoull(value());
     else if (flag == "--attempts") a.attempts = static_cast<uint32_t>(std::stoul(value()));
     else if (flag == "--deadline") a.deadlineMs = std::stoull(value());
-    else if (flag == "--threads") a.threads = std::stoi(value());
+    else if (flag == "--threads") a.threads = parseCount(flag, value());
     else if (flag == "--crash-after-segments") a.crashAfterSegments = std::stoull(value());
-    else if (flag == "--procs") a.procs = std::stoi(value());
+    else if (flag == "--procs") a.procs = parseCount(flag, value());
     else if (flag == "--scale") a.scale = std::stoi(value());
     else if (flag == "--kind") a.kind = value();
     else if (flag == "--query") a.querySpec = value();
