@@ -1,6 +1,7 @@
 // Communication-pattern analysis from a *compressed* trace (the paper's
-// §VII-D1 use case): decompress a CYPRESS trace, build the rank-to-rank
-// volume matrix, list each rank's peers and message-size classes.
+// §VII-D1 use case): read the rank-to-rank volume matrix, each rank's
+// peers and the message-size classes straight off a CYPRESS trace with
+// the compressed-domain query engine; no event is ever expanded.
 //
 // Usage: ./build/examples/analyze_patterns [WORKLOAD] [PROCS]
 //   default: MG 64 (the paper's irregular example)
@@ -9,10 +10,9 @@
 #include <map>
 #include <set>
 
-#include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
+#include "query/engine.hpp"
 #include "support/strings.hpp"
-#include "trace/matrix.hpp"
 
 using namespace cypress;
 
@@ -29,23 +29,20 @@ int main(int argc, char** argv) {
 
   core::MergedCtt merged = driver::mergeCypress(run);
   const auto traceBytes = merged.serialize().size();
-  trace::RawTrace t = core::decompressAll(merged, procs);
 
   std::printf("%s on %d ranks — analysis from a %s compressed trace\n\n",
               name.c_str(), procs, humanBytes(traceBytes).c_str());
 
-  auto m = trace::commMatrix(t);
+  const auto cells = query::commMatrix(merged);
   std::printf("communication volume heat map:\n%s\n",
-              trace::renderMatrix(m, 32).c_str());
+              query::heatMap(cells, procs).c_str());
 
-  // Peer fan-out distribution.
+  // Peer fan-out distribution: peers receiving a nonzero volume.
+  std::vector<size_t> peersOf(static_cast<size_t>(procs), 0);
+  for (const query::MatrixCell& c : cells)
+    if (c.bytes != 0) ++peersOf[static_cast<size_t>(c.src)];
   std::map<size_t, int> fanout;
-  for (size_t i = 0; i < m.size(); ++i) {
-    size_t peers = 0;
-    for (uint64_t v : m[i])
-      if (v) ++peers;
-    fanout[peers]++;
-  }
+  for (size_t p : peersOf) fanout[p]++;
   std::printf("peer fan-out histogram (peers -> #ranks):");
   for (const auto& [peers, count] : fanout) std::printf(" %zu->%d", peers, count);
   std::printf("\n");
@@ -53,12 +50,10 @@ int main(int argc, char** argv) {
   // Message-size classes (the paper reports exactly two for LESlie3d).
   std::set<int64_t> sizes;
   uint64_t msgs = 0;
-  for (const auto& r : t.ranks)
-    for (const auto& e : r.events)
-      if (e.op == ir::MpiOp::Send || e.op == ir::MpiOp::Isend) {
-        sizes.insert(e.bytes);
-        ++msgs;
-      }
+  for (const query::RankHistogram& row : query::histogram(merged)) {
+    msgs += row.msgs;
+    for (const query::HistBucket& b : row.buckets) sizes.insert(b.bytes);
+  }
   std::printf("%llu point-to-point messages in %zu distinct size classes\n",
               static_cast<unsigned long long>(msgs), sizes.size());
   if (sizes.size() <= 8) {

@@ -84,8 +84,8 @@ void CompressedCursor::fillEvent(const cst::Node* leaf) {
   if (state->matched.has_value()) {
     e.matchedSource = static_cast<int32_t>(state->matched->next()) + rank_;
   }
-  e.durationNs = static_cast<uint64_t>(rec.duration.mean());
-  e.computeNs = static_cast<uint64_t>(rec.compute.mean());
+  e.durationNs = eventNs(rec.duration);
+  e.computeNs = eventNs(rec.compute);
   hasEvent_ = true;
   ++emitted_;
 }

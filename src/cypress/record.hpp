@@ -67,6 +67,17 @@ struct PeerRef {
 /// Time recording mode (paper §IV-A supports both).
 enum class TimeMode : uint8_t { MeanStddev, Histogram };
 
+/// The whole-nanosecond time every expanded event of a record carries:
+/// the mean, truncated. The mean is read unchecked from the file, so a
+/// non-finite, negative or >= 2^64 value (never written by a recorder)
+/// is rejected rather than cast.
+inline uint64_t eventNs(const RunningStats& s) {
+  const double m = s.mean();
+  CYP_CHECK(m >= 0.0 && m < 18446744073709551616.0,
+            "comm record: bad mean time " << m);
+  return static_cast<uint64_t>(m);
+}
+
 struct CommRecord {
   ir::MpiOp op = ir::MpiOp::Barrier;
   PeerRef peer;

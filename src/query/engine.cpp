@@ -1,10 +1,12 @@
 #include "query/engine.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "query/json.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
+#include "trace/matrix.hpp"
 
 namespace cypress::query {
 
@@ -235,6 +237,78 @@ std::vector<CollRow> collectives(const MergedCtt& m) {
     }
   }
   return collRows(rows);
+}
+
+int64_t rankSpan(const MergedCtt& m) {
+  int64_t span = 0;
+  const int n = m.cst().numNodes();
+  for (int g = 0; g < n; ++g)
+    for (const LeafEntry& e : m.leafEntries(g))
+      if (!e.ranks.empty())
+        span = std::max<int64_t>(span, int64_t{e.ranks.ranks().back()} + 1);
+  return span;
+}
+
+trace::TraceStats traceStats(const MergedCtt& m) {
+  trace::TraceStats s;
+  const int n = m.cst().numNodes();
+  for (int g = 0; g < n; ++g) {
+    for (const LeafEntry& e : m.leafEntries(g)) {
+      for (const CommRecord& rec : e.records) {
+        const uint64_t events = rec.count * static_cast<uint64_t>(e.ranks.size());
+        if (events == 0) continue;
+        const uint64_t bytes = static_cast<uint64_t>(rec.bytes) * events;
+        const uint64_t durationNs = core::eventNs(rec.duration) * events;
+        s.totalEvents += events;
+        s.computeNs += core::eventNs(rec.compute) * events;
+        s.commNs += durationNs;
+        trace::OpStats& op = s.byOp[rec.op];
+        op.count += events;
+        op.durationNs += durationNs;
+        if (isSend(rec.op)) {
+          s.p2pMessages += events;
+          s.p2pBytes += bytes;
+          op.bytes += bytes;
+          s.messageSizes[rec.bytes] += events;
+        } else if (ir::isCollective(rec.op)) {
+          s.collectiveCalls += events;
+          op.bytes += bytes;
+        }
+      }
+    }
+  }
+
+  // Balance over ranks [0, span) minus the lost ones, without a loop
+  // over the span: ranks in it that have no summary row count as 0.
+  const int64_t span = rankSpan(m);
+  uint64_t ranks = static_cast<uint64_t>(span);
+  for (int32_t r : m.lostRanks().ranks())
+    if (r < span) --ranks;
+  uint64_t rowed = 0, sum = 0, minE = UINT64_MAX, maxE = 0;
+  for (const SummaryRow& row : summary(m)) {
+    if (row.rank >= span || m.lostRanks().contains(row.rank)) continue;
+    ++rowed;
+    sum += row.events;
+    minE = std::min(minE, row.events);
+    maxE = std::max(maxE, row.events);
+  }
+  if (rowed < ranks) minE = 0;
+  if (ranks > 0) {
+    s.minRankEvents = minE;
+    s.maxRankEvents = maxE;
+    s.avgRankEvents = static_cast<double>(sum) / static_cast<double>(ranks);
+  }
+  return s;
+}
+
+std::string heatMap(const std::vector<MatrixCell>& cells, int64_t numRanks,
+                    int maxCells) {
+  std::vector<trace::VolumeCell> volume;
+  volume.reserve(cells.size());
+  for (const MatrixCell& c : cells)
+    volume.push_back(
+        trace::VolumeCell{c.src, c.dst, static_cast<uint64_t>(c.bytes)});
+  return trace::renderHeatMap(volume, numRanks, maxCells);
 }
 
 std::vector<SummaryRow> summaryFromRaw(const trace::RawTrace& t) {

@@ -34,6 +34,7 @@
 #include "cypress/merge.hpp"
 #include "support/rank_set.hpp"
 #include "trace/event.hpp"
+#include "trace/stats.hpp"
 
 namespace cypress::query {
 
@@ -99,6 +100,24 @@ std::vector<SummaryRow> summary(const core::MergedCtt& m, int threads = 1);
 std::vector<RankHistogram> histogram(const core::MergedCtt& m, int threads = 1);
 std::vector<MatrixCell> commMatrix(const core::MergedCtt& m, int threads = 1);
 std::vector<CollRow> collectives(const core::MergedCtt& m);
+
+/// One past the highest rank holding a leaf entry: the rank count
+/// `cyptrace stats` and `cyptrace dump --otf` report and expand.
+int64_t rankSpan(const core::MergedCtt& m);
+
+/// The `cyptrace stats` totals without expanding a single event. Each
+/// CommRecord of a leaf entry stands for count x |entry ranks| events,
+/// each carrying core::eventNs of the record's duration and compute
+/// (what CompressedCursor emits), so the integer
+/// sums equal trace::computeStats over the decompressed trace. Per-rank
+/// balance covers the ranks below rankSpan(m) that are not lost (a
+/// rank without rows counts as 0 events), averaged over that count.
+trace::TraceStats traceStats(const core::MergedCtt& m);
+
+/// ASCII heat map of sparse commMatrix cells over `numRanks` ranks
+/// (trace::renderHeatMap); no P x P matrix is built.
+std::string heatMap(const std::vector<MatrixCell>& cells, int64_t numRanks,
+                    int maxCells = 32);
 
 /// Call sites through which `src` sent to `dst` during global iteration
 /// `iter` of the loop at `loopGid` (-1 = the outermost loop containing

@@ -511,8 +511,8 @@ Prediction simulateRecordedTimes(const core::MergedCtt& m) {
         for (const core::CommRecord& rec : e.records) {
           // Decompressed events carry the record's rounded means, so
           // count * rounded-mean reproduces the expanded sums exactly.
-          const auto dur = static_cast<uint64_t>(rec.duration.mean());
-          const auto cmp = static_cast<uint64_t>(rec.compute.mean());
+          const uint64_t dur = core::eventNs(rec.duration);
+          const uint64_t cmp = core::eventNs(rec.compute);
           clock += rec.count * (cmp + dur);
           comm += rec.count * dur;
           p.totalEvents += rec.count;

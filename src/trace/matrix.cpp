@@ -24,28 +24,31 @@ std::vector<std::vector<uint64_t>> commMatrix(const RawTrace& t) {
   return m;
 }
 
-std::string renderMatrix(const std::vector<std::vector<uint64_t>>& m, int maxCells) {
-  const size_t n = m.size();
+std::string renderHeatMap(const std::vector<VolumeCell>& cells,
+                          int64_t numRanks, int maxCells) {
+  CYP_CHECK(maxCells > 0, "heat map: " << maxCells << " cells per side");
+  const int64_t n = std::max<int64_t>(numRanks, 0);
+  for (const VolumeCell& c : cells) {
+    CYP_CHECK(c.src >= 0 && c.src < n, "comm matrix: bad source " << c.src);
+    CYP_CHECK(c.dst >= 0 && c.dst < n, "comm matrix: bad destination " << c.dst);
+  }
   if (n == 0) return "";
-  const size_t cells = std::min<size_t>(n, static_cast<size_t>(maxCells));
-  const size_t stride = (n + cells - 1) / cells;
+  const size_t side = static_cast<size_t>(std::min<int64_t>(n, maxCells));
+  const size_t stride = (static_cast<size_t>(n) + side - 1) / side;
 
   // Aggregate into buckets.
-  std::vector<std::vector<uint64_t>> agg(cells, std::vector<uint64_t>(cells, 0));
-  uint64_t maxV = 0;
-  for (size_t i = 0; i < n; ++i)
-    for (size_t j = 0; j < n; ++j) {
-      auto& cell = agg[i / stride][j / stride];
-      cell += m[i][j];
-      maxV = std::max(maxV, cell);
-    }
+  std::vector<uint64_t> agg(side * side, 0);
+  for (const VolumeCell& c : cells)
+    agg[static_cast<size_t>(c.src) / stride * side +
+        static_cast<size_t>(c.dst) / stride] += c.bytes;
+  const uint64_t maxV = *std::max_element(agg.begin(), agg.end());
 
   static const char glyphs[] = " .:-=+*#%@";
   std::ostringstream os;
   os << "receiver ->\n";
-  for (size_t i = 0; i < cells; ++i) {
-    for (size_t j = 0; j < cells; ++j) {
-      const uint64_t v = agg[i][j];
+  for (size_t i = 0; i < side; ++i) {
+    for (size_t j = 0; j < side; ++j) {
+      const uint64_t v = agg[i * side + j];
       int g = 0;
       if (v > 0 && maxV > 0) {
         const double frac =
@@ -58,6 +61,16 @@ std::string renderMatrix(const std::vector<std::vector<uint64_t>>& m, int maxCel
     os << "\n";
   }
   return os.str();
+}
+
+std::string renderMatrix(const std::vector<std::vector<uint64_t>>& m, int maxCells) {
+  std::vector<VolumeCell> cells;
+  for (size_t i = 0; i < m.size(); ++i)
+    for (size_t j = 0; j < m[i].size(); ++j)
+      if (m[i][j] != 0)
+        cells.push_back(VolumeCell{static_cast<int32_t>(i),
+                                   static_cast<int32_t>(j), m[i][j]});
+  return renderHeatMap(cells, static_cast<int64_t>(m.size()), maxCells);
 }
 
 }  // namespace cypress::trace

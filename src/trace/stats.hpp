@@ -1,8 +1,10 @@
 // Trace statistics: the summaries performance analysts ask of a
 // communication trace (per-op counts and volumes, message-size
 // distribution, point-to-point vs collective split, per-rank balance).
-// Used by `cyptrace stats` and the analysis examples; works equally on
-// raw and decompressed traces.
+// `cyptrace stats` fills TraceStats in the compressed domain
+// (query::traceStats); computeStats scans expanded events and is the
+// decompress-then-scan oracle that answer is tested against. Both print
+// through the same toString().
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,8 @@ struct OpStats {
   uint64_t count = 0;
   uint64_t bytes = 0;
   uint64_t durationNs = 0;
+
+  bool operator==(const OpStats&) const = default;
 };
 
 struct TraceStats {
@@ -36,6 +40,7 @@ struct TraceStats {
   double avgRankEvents = 0.0;
 
   std::string toString() const;
+  bool operator==(const TraceStats&) const = default;
 };
 
 TraceStats computeStats(const RawTrace& t);

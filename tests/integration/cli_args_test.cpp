@@ -2,14 +2,18 @@
 // count below 1 is a usage error caught while parsing, so the command
 // fails fast with a message naming the flag, before it traces,
 // listens or writes anything.
+//
+// Also the read commands on a salvaged trace (one whose merge marked
+// some ranks lost): `stats` and `dump --otf` answer for the survivors
+// and exit 0 instead of failing on the lost ranks.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <string>
-#include <vector>
+
+#include "child_process.hpp"
 
 #if !defined(CYPTRACE_BIN) || !defined(CYPTRACED_BIN)
 #error "CYPTRACE_BIN and CYPTRACED_BIN must point at the tool binaries"
@@ -19,38 +23,6 @@ namespace cypress {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct ChildRun {
-  int exitCode = -1;  // -1 on abnormal death
-  std::string stderrText;
-};
-
-/// Fork `bin` with `args`, capture its stderr, reap it.
-ChildRun runTool(const char* bin, const std::vector<std::string>& args) {
-  int fds[2];
-  EXPECT_EQ(pipe(fds), 0);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    std::vector<const char*> argv = {bin};
-    for (const std::string& a : args) argv.push_back(a.c_str());
-    argv.push_back(nullptr);
-    close(fds[0]);
-    if (dup2(fds[1], STDERR_FILENO) < 0) _exit(126);
-    execv(bin, const_cast<char* const*>(argv.data()));
-    _exit(127);
-  }
-  close(fds[1]);
-  ChildRun out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = read(fds[0], buf, sizeof buf)) > 0)
-    out.stderrText.append(buf, static_cast<size_t>(n));
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  out.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return out;
-}
 
 std::string tempPath(const std::string& name) {
   const std::string p =
@@ -62,7 +34,7 @@ std::string tempPath(const std::string& name) {
 
 TEST(CliArgs, CyptraceRunRejectsZeroThreadsBeforeTracing) {
   const std::string out = tempPath("cyp-args-threads.cyp");
-  const ChildRun run = runTool(
+  const ChildRun run = runChild(
       CYPTRACE_BIN,
       {"run", "JACOBI", "--procs", "16", "--threads", "0", "--out", out});
   EXPECT_NE(run.exitCode, 0);
@@ -75,7 +47,8 @@ TEST(CliArgs, CyptraceRunRejectsNonPositiveProcs) {
   const std::string out = tempPath("cyp-args-procs.cyp");
   for (const char* procs : {"0", "-4"}) {
     const ChildRun run =
-        runTool(CYPTRACE_BIN, {"run", "JACOBI", "--procs", procs, "--out", out});
+        runChild(CYPTRACE_BIN,
+                 {"run", "JACOBI", "--procs", procs, "--out", out});
     EXPECT_NE(run.exitCode, 0) << procs;
     EXPECT_NE(run.stderrText.find("--procs"), std::string::npos)
         << run.stderrText;
@@ -87,8 +60,8 @@ TEST(CliArgs, CyptracedServeRejectsZeroThreadsBeforeListening) {
   const std::string socket = tempPath("cyp-args.sock");
   const std::string spool = tempPath("cyp-args-spool");
   const ChildRun run =
-      runTool(CYPTRACED_BIN, {"serve", "--socket", socket, "--spool", spool,
-                              "--threads", "0"});
+      runChild(CYPTRACED_BIN, {"serve", "--socket", socket, "--spool", spool,
+                               "--threads", "0"});
   EXPECT_NE(run.exitCode, 0);
   EXPECT_NE(run.stderrText.find("--threads"), std::string::npos)
       << run.stderrText;
@@ -98,11 +71,53 @@ TEST(CliArgs, CyptracedServeRejectsZeroThreadsBeforeListening) {
 
 TEST(CliArgs, CyptracedSubmitRejectsZeroProcs) {
   const ChildRun run =
-      runTool(CYPTRACED_BIN, {"submit", "--socket", tempPath("cyp-args.sock"),
-                              "JACOBI", "--procs", "0"});
+      runChild(CYPTRACED_BIN, {"submit", "--socket", tempPath("cyp-args.sock"),
+                               "JACOBI", "--procs", "0"});
   EXPECT_NE(run.exitCode, 0);
   EXPECT_NE(run.stderrText.find("--procs"), std::string::npos)
       << run.stderrText;
+}
+
+TEST(CliArgs, CyptraceStatsAndOtfDumpReadASalvagedTrace) {
+  // Rank 5 is killed; rank 4, blocked on it, stalls. Both are lost.
+  const std::string trace = tempPath("cyp-salvaged.cyp");
+  const ChildRun run = runChild(
+      CYPTRACE_BIN, {"run", "JACOBI", "--procs", "16", "--fault",
+                     "kill:5@199", "--salvage", "--out", trace});
+  ASSERT_EQ(run.exitCode, 0) << run.stderrText;
+
+  const ChildRun stats = runChild(CYPTRACE_BIN, {"stats", trace});
+  EXPECT_EQ(stats.exitCode, 0) << stats.stderrText;
+  EXPECT_NE(stats.stdoutText.find("(16 ranks, "), std::string::npos)
+      << stats.stdoutText;
+  EXPECT_NE(stats.stdoutText.find("\nlost ranks: 4 5 "), std::string::npos)
+      << stats.stdoutText;
+  // 14 survivors: the two edge ranks and the two neighbours of the lost
+  // pair send and receive 100 times, the other ten 200 times.
+  EXPECT_NE(
+      stats.stdoutText.find("events per rank: min 100, avg 185.7, max 200"),
+      std::string::npos)
+      << stats.stdoutText;
+
+  const ChildRun otf = runChild(CYPTRACE_BIN, {"dump", trace, "--otf"});
+  EXPECT_EQ(otf.exitCode, 0) << otf.stderrText;
+  EXPECT_NE(otf.stdoutText.find("\nRANK 3 "), std::string::npos);
+  EXPECT_NE(otf.stdoutText.find("\nRANK 6 "), std::string::npos);
+  EXPECT_EQ(otf.stdoutText.find("\nRANK 4 "), std::string::npos);
+  EXPECT_EQ(otf.stdoutText.find("\nRANK 5 "), std::string::npos);
+  fs::remove(trace);
+}
+
+TEST(CliArgs, CyptraceStatsPrintsNoLostLineForACompleteTrace) {
+  const std::string trace = tempPath("cyp-complete.cyp");
+  const ChildRun run = runChild(
+      CYPTRACE_BIN, {"run", "JACOBI", "--procs", "16", "--out", trace});
+  ASSERT_EQ(run.exitCode, 0) << run.stderrText;
+  const ChildRun stats = runChild(CYPTRACE_BIN, {"stats", trace});
+  EXPECT_EQ(stats.exitCode, 0) << stats.stderrText;
+  EXPECT_EQ(stats.stdoutText.find("lost ranks"), std::string::npos)
+      << stats.stdoutText;
+  fs::remove(trace);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Property-based end-to-end fuzzing: generate random (but deadlock-free)
 // structured MPI programs from a template grammar, run the full pipeline,
 // and require exact lossless round trips for both CYPRESS and ScalaTrace,
-// plus a successful SIM-MPI replay of the decompressed trace.
+// a successful SIM-MPI replay of the decompressed trace, and the same
+// `cyptrace stats` text from the compressed and the decompressed form.
 //
 // The generator composes only communication-safe templates (collectives,
 // ring exchanges, paired even/odd exchanges, non-blocking + waitall,
@@ -14,9 +15,12 @@
 
 #include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
+#include "query/engine.hpp"
 #include "replay/simulator.hpp"
 #include "scalatrace/inter.hpp"
 #include "support/rng.hpp"
+#include "trace/matrix.hpp"
+#include "trace/stats.hpp"
 
 namespace cypress {
 namespace {
@@ -252,11 +256,20 @@ TEST_P(FuzzPipeline, RandomProgramRoundTripsThroughEverything) {
         << "rank " << r;
   }
 
-  // The decompressed trace must replay cleanly in SIM-MPI.
+  // The decompressed trace must replay cleanly in SIM-MPI, and
+  // `cyptrace stats` read off the compressed form must print exactly
+  // what a scan of the decompressed trace prints.
   if (run.raw.totalEvents() > 0) {
     trace::RawTrace dec = core::decompressAll(merged, opts.procs);
     replay::Prediction p = replay::simulate(dec);
     EXPECT_EQ(p.totalEvents, run.raw.totalEvents());
+    ASSERT_EQ(query::rankSpan(merged), opts.procs);
+    const trace::TraceStats st = query::traceStats(merged);
+    const trace::TraceStats want = trace::computeStats(dec);
+    EXPECT_TRUE(st == want) << st.toString();
+    EXPECT_EQ(st.toString() +
+                  query::heatMap(query::commMatrix(merged), opts.procs),
+              want.toString() + trace::renderMatrix(trace::commMatrix(dec)));
   }
 
   // Serialization round trip of the merged CYPRESS trace.

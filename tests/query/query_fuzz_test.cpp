@@ -1,14 +1,16 @@
 // Corruption robustness of the query entry points: a trace file mutated
-// at arbitrary bytes, driven through deserialize + every query kind,
-// must either answer or raise cypress::Error — never crash, hang, or
-// throw anything else. This is the same contract (and the same fuzzer)
-// the deserializers are held to; queries extend it through the range
-// arithmetic and the cursor walk.
+// at arbitrary bytes, driven through deserialize, every query kind and
+// the `cyptrace stats` computation, must either answer or raise
+// cypress::Error — never crash, hang, or throw anything else. This is
+// the same contract (and the same fuzzer) the deserializers are held
+// to; queries extend it through the range arithmetic and the cursor
+// walk.
 #include <gtest/gtest.h>
 
 #include "cypress/decompress.hpp"
 #include "cypress/merge.hpp"
 #include "driver/pipeline.hpp"
+#include "query/engine.hpp"
 #include "query/query.hpp"
 #include "verify/fuzz.hpp"
 
@@ -22,6 +24,11 @@ std::vector<uint8_t> goodTraceBytes() {
   opts.withScala2 = false;
   driver::RunOutput run = driver::runWorkload("JACOBI", opts);
   return driver::mergeCypress(run).serialize();
+}
+
+/// What `cyptrace stats` computes: the totals and the sparse heat map.
+std::string statsText(const core::MergedCtt& m) {
+  return traceStats(m).toString() + heatMap(commMatrix(m), rankSpan(m));
 }
 
 TEST(QueryFuzz, MutatedTracesNeverEscapeTheErrorContract) {
@@ -38,6 +45,7 @@ TEST(QueryFuzz, MutatedTracesNeverEscapeTheErrorContract) {
     runQuery(m, "matrix");
     runQuery(m, "colls");
     runQuery(m, "callsites src=0 dst=1 iter=0");
+    statsText(m);
   };
   const verify::FuzzReport rep = verify::corruptionFuzz(good, decode, fo);
   EXPECT_TRUE(rep.ok()) << rep.toString();
@@ -49,6 +57,7 @@ TEST(QueryFuzz, TruncatedTracesNeverEscapeTheErrorContract) {
     cst::Tree tree;
     core::MergedCtt m = core::MergedCtt::deserializeWithTree(bytes, tree);
     runQuery(m, "summary");
+    statsText(m);
     // The cursor walk must hold the same line event-by-event.
     core::CompressedCursor cur(m, 0);
     while (!cur.done()) cur.next();

@@ -4,14 +4,23 @@
 // The contract under test: every answer the engine computes from the
 // CTT+RSD form is byte-identical (canonical JSON) to the same analysis
 // run over the fully decompressed event streams — so compressed-domain
-// analysis is a pure optimization, never an approximation.
+// analysis is a pure optimization, never an approximation. The same
+// holds for the `cyptrace stats` text: traceStats plus the sparse heat
+// map against trace::computeStats plus the dense P x P heat map.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
 #include "query/engine.hpp"
 #include "query/query.hpp"
+#include "simmpi/fault.hpp"
 #include "support/error.hpp"
+#include "trace/matrix.hpp"
+#include "trace/stats.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cypress::query {
 namespace {
@@ -47,7 +56,38 @@ trace::RawTrace expandCovered(const core::MergedCtt& m) {
   return t;
 }
 
-/// Every query kind, engine vs oracle, as rendered-JSON byte equality.
+/// The `cyptrace stats` text, compressed domain vs decompress-then-
+/// scan: computeStats over the survivors' events and the dense heat map
+/// over every rank below the span, lost ranks left empty. Without lost
+/// ranks both expansions are exactly decompressAll.
+void expectStatsOracle(const core::MergedCtt& m, const std::string& ctx) {
+  const int64_t span = rankSpan(m);
+  trace::RawTrace all;
+  trace::RawTrace survivors;
+  if (m.lostRanks().empty()) {
+    all = core::decompressAll(m, static_cast<int>(span));
+    survivors = all;
+  } else {
+    for (int32_t r = 0; r < span; ++r) {
+      trace::RankTrace rt{r, {}};
+      if (!m.lostRanks().contains(r)) {
+        rt.events = core::decompressRank(m, r);
+        survivors.ranks.push_back(rt);
+      }
+      all.ranks.push_back(std::move(rt));
+    }
+  }
+  const trace::TraceStats got = traceStats(m);
+  const trace::TraceStats want = trace::computeStats(survivors);
+  // Field equality too: toString() shows times only as percentages.
+  EXPECT_TRUE(got == want) << ctx << "\n" << got.toString();
+  EXPECT_EQ(got.toString() + heatMap(commMatrix(m), span),
+            want.toString() + trace::renderMatrix(trace::commMatrix(all)))
+      << ctx;
+}
+
+/// Every query kind and the stats text, engine vs oracle, as rendered
+/// byte equality.
 void expectOracleEquivalence(const core::MergedCtt& m,
                              const std::string& ctx) {
   const trace::RawTrace raw = expandCovered(m);
@@ -62,6 +102,7 @@ void expectOracleEquivalence(const core::MergedCtt& m,
   EXPECT_EQ(renderCollectives(collectives(m)),
             renderCollectives(collectivesFromRaw(raw)))
       << ctx;
+  expectStatsOracle(m, ctx);
 }
 
 TEST(QueryEngine, OracleEquivalenceAcrossWorkloads) {
@@ -112,6 +153,96 @@ TEST(QueryEngine, OracleEquivalenceOnFaultedTrace) {
   expectOracleEquivalence(m, "faulted JACOBI");
   const std::string json = runQuery(m, "summary");
   EXPECT_NE(json.find("\"lostRanks\":[3]"), std::string::npos) << json;
+}
+
+TEST(QueryEngine, StatsOracleAcrossEveryWorkload) {
+  // Every built-in workload at a small rank count and an odd one (1
+  // where the code needs a power of two).
+  for (const std::string& w : workloads::allNames()) {
+    const workloads::Workload& wl = workloads::get(w);
+    const int odd = wl.supportsProcs(5) ? 5 : wl.supportsProcs(9) ? 9 : 1;
+    for (int procs : {4, odd}) {
+      const std::string ctx = w + "@" + std::to_string(procs);
+      SCOPED_TRACE(ctx);
+      const Compressed c = mergedFor(w, procs);
+      expectStatsOracle(c.m, ctx);
+    }
+  }
+}
+
+TEST(QueryEngine, StatsOracleWithIdleRanks) {
+  // Rank 1 records nothing at all, so it has no summary row, and
+  // rank 4 only loop counts: an idle rank inside the span counts as 0
+  // events, and rank 4, past the highest communicating rank, is
+  // outside the span.
+  const std::string src =
+      "func main() {\n"
+      "  if (rank != 1) {\n"
+      "    for (var i = 0; i < 3; i = i + 1) {\n"
+      "      if (rank == 0) { mpi_send(2, 100, 0); }\n"
+      "      if (rank == 2) { mpi_recv(0, 100, 0); }\n"
+      "    }\n"
+      "  }\n"
+      "  if (rank == 3) { mpi_send(0, 5, 1); }\n"
+      "  if (rank == 0) { mpi_recv(3, 5, 1); }\n"
+      "}\n";
+  driver::Options opts;
+  opts.procs = 5;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  driver::RunOutput run = driver::runSource("idle", src, opts);
+  const Compressed c{run.cst, driver::mergeCypress(run)};
+  ASSERT_EQ(rankSpan(c.m), 4);
+  ASSERT_FALSE(coveredRanks(c.m).contains(1));
+  expectStatsOracle(c.m, "idle ranks");
+  EXPECT_EQ(traceStats(c.m).minRankEvents, 0u);
+}
+
+TEST(QueryEngine, StatsOracleOnSalvagedTrace) {
+  // `cyptrace run JACOBI --procs 16 --fault kill:5@199 --salvage`:
+  // rank 5 dies, its partner 4 stalls, and the merge marks both lost.
+  // decompressAll throws on such a trace; stats answers for the
+  // survivors.
+  driver::Options opts;
+  opts.procs = 16;
+  opts.withRaw = false;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  opts.engine.faults.faults.push_back(simmpi::parseFaultSpec("kill:5@199"));
+  opts.onStall = vm::OnStall::Salvage;
+  driver::RunOutput run = driver::runWorkload("JACOBI", opts);
+  const Compressed c{run.cst, driver::mergeCypress(run)};
+  ASSERT_EQ(c.m.lostRanks().ranks(), (std::vector<int32_t>{4, 5}));
+  EXPECT_THROW(core::decompressAll(c.m, static_cast<int>(rankSpan(c.m))),
+               Error);
+  expectOracleEquivalence(c.m, "salvaged JACOBI");
+  const trace::TraceStats st = traceStats(c.m);
+  EXPECT_EQ(st.minRankEvents, 100u);
+  EXPECT_EQ(st.maxRankEvents, 200u);
+  EXPECT_DOUBLE_EQ(st.avgRankEvents, static_cast<double>(st.totalEvents) / 14);
+}
+
+TEST(QueryEngine, HeatMapRejectsCellsOutsideTheSpan) {
+  const std::vector<MatrixCell> cells = {MatrixCell{0, 4, 1, 8}};
+  EXPECT_THROW(heatMap(cells, 4), Error);
+  EXPECT_NE(heatMap(cells, 5).find('@'), std::string::npos);
+}
+
+TEST(QueryEngine, CorruptMeanTimeIsAnErrorNotACast) {
+  // The per-event time traceStats, the cursor and replay all use is the
+  // file's f64 mean, truncated; a mean no recorder writes must throw.
+  const auto statsWithMean = [](double mean) {
+    ByteWriter w;
+    w.uv(1);
+    for (double v : {mean, 0.0, mean, mean, mean}) w.f64(v);
+    ByteReader r(w.bytes());
+    return RunningStats::deserialize(r);
+  };
+  EXPECT_EQ(core::eventNs(statsWithMean(1000.9)), 1000u);
+  EXPECT_EQ(core::eventNs(RunningStats{}), 0u);
+  for (double bad : {std::nan(""), -1.0, 18446744073709551616.0,
+                     std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(core::eventNs(statsWithMean(bad)), Error) << bad;
 }
 
 TEST(QueryEngine, MatrixAgreesWithSummaryTotals) {

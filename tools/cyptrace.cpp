@@ -32,8 +32,8 @@
 //   cyptrace info <F.cyp>
 //       Show the embedded CST and per-tool statistics of a trace file.
 //   cyptrace dump <F.cyp> --rank R [--limit N] [--otf]
-//       Decompress one rank's event sequence (or the whole trace as
-//       OTF-style text with --otf).
+//       Decompress one rank's event sequence (or every surviving rank
+//       as OTF-style text with --otf).
 //   cyptrace replay <F.cyp> [--net ib|eth]
 //       Predict execution time by SIM-MPI replay under a LogGP model.
 //       Replay consumes the compressed trace directly through
@@ -47,7 +47,10 @@
 //   cyptrace compare <workload> --procs N [--scale S]
 //       Run all tools side by side and print sizes/overheads.
 //   cyptrace stats <F.cyp>
-//       Decompress and print trace statistics + the comm-volume matrix.
+//       Print trace statistics + a comm-volume heat map, computed in the
+//       compressed domain (no event is expanded; memory O(compressed
+//       size + P)). A salvaged trace also gets a `lost ranks:` line and
+//       statistics over the surviving ranks.
 //   cyptrace diff <A.cyp> <B.cyp>
 //       Structural diff of two compressed traces of the same program.
 //   cyptrace verify <workload|file.mc|trace file> [--procs N] [--scale S]
@@ -77,9 +80,7 @@
 #include "replay/simulator.hpp"
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
-#include "trace/matrix.hpp"
 #include "trace/otf_text.hpp"
-#include "trace/stats.hpp"
 #include "verify/fuzz.hpp"
 #include "workloads/workloads.hpp"
 
@@ -439,12 +440,17 @@ int cmdDump(const Args& a) {
   const auto bytes = readBytes(a.target);
   cst::Tree tree;
   core::MergedCtt merged = core::MergedCtt::deserializeWithTree(bytes, tree);
-  RankSet all;
-  for (int g = 0; g < tree.numNodes(); ++g)
-    for (const auto& e : merged.leafEntries(g)) all.unite(e.ranks);
-  const int numRanks = all.empty() ? 0 : all.ranks().back() + 1;
   if (a.otf) {
-    trace::RawTrace t = core::decompressAll(merged, numRanks);
+    // Every rank below the span except the lost ones of a salvaged
+    // trace, which have no events to expand.
+    trace::RawTrace t;
+    const int64_t numRanks = query::rankSpan(merged);
+    for (int64_t r = 0; r < numRanks; ++r) {
+      const auto rank = static_cast<int32_t>(r);
+      if (!merged.lostRanks().contains(rank))
+        t.ranks.push_back(
+            trace::RankTrace{rank, core::decompressRank(merged, rank)});
+    }
     std::fputs(trace::toOtfText(t).c_str(), stdout);
     return 0;
   }
@@ -490,16 +496,23 @@ int cmdStats(const Args& a) {
   const auto bytes = readBytes(a.target);
   cst::Tree tree;
   core::MergedCtt merged = core::MergedCtt::deserializeWithTree(bytes, tree);
-  RankSet all;
-  for (int g = 0; g < tree.numNodes(); ++g)
-    for (const auto& e : merged.leafEntries(g)) all.unite(e.ranks);
-  const int numRanks = all.empty() ? 0 : all.ranks().back() + 1;
-  trace::RawTrace t = core::decompressAll(merged, numRanks);
-  trace::TraceStats st = trace::computeStats(t);
-  std::printf("%s (%d ranks, trace file %s)\n\n%s\n", a.target.c_str(), numRanks,
-              humanBytes(bytes.size()).c_str(), st.toString().c_str());
-  std::printf("communication volume heat map:\n%s", 
-              trace::renderMatrix(trace::commMatrix(t), 32).c_str());
+  // Answered in the compressed domain: no event is expanded and the
+  // heat map is bucketed from the sparse matrix, so memory follows the
+  // compressed size plus P, never events or P^2.
+  const int64_t numRanks = query::rankSpan(merged);
+  const trace::TraceStats st = query::traceStats(merged);
+  std::printf("%s (%lld ranks, trace file %s)\n", a.target.c_str(),
+              static_cast<long long>(numRanks),
+              humanBytes(bytes.size()).c_str());
+  if (!merged.lostRanks().empty()) {
+    std::printf("lost ranks:");
+    for (int32_t r : merged.lostRanks().ranks()) std::printf(" %d", r);
+    std::printf(" (statistics cover the surviving ranks)\n");
+  }
+  std::printf("\n%s\n", st.toString().c_str());
+  std::printf("communication volume heat map:\n%s",
+              query::heatMap(query::commMatrix(merged), numRanks)
+                  .c_str());
   return 0;
 }
 
