@@ -1,43 +1,39 @@
 // cyperf — end-to-end pipeline stage timings across thread counts.
 //
-// Times each stage of the trace→compress→merge pipeline (compile, run,
-// build, merge, serialize, flate) on fig15 NPB workloads at procs >= 32
-// for threads in {1,2,4,8}, prints a table, and writes
-// BENCH_pipeline.json so future changes have a perf trajectory to
-// regress against. The post-run stages use the streaming sink chain
-// (flate::StreamingCompressor over serializeTo) — the same dataflow the
-// driver ships — so no stage materializes a full serialized trace; the
-// rss_peak_kb trajectory regresses that property. Three extra sections:
-// a streamed-vs-materialized head-to-head on the biggest payload, a
-// compressed-size-vs-P sweep (64/512/4096) against the ScalaTrace and
-// gzip baselines, and a query-vs-P sweep over the same runs charting
-// the compressed-domain comm-matrix query against its
-// decompress-then-scan oracle. The traced run fans its epoch-local
-// phases out on
-// the shared pool (vm/runner.hpp), as do all post-run stages; rows
-// where threads exceed hardware_concurrency are flagged (`*`, and
-// "oversubscribed" in the JSON) since they cannot show real scaling.
+// Times each stage of `cyptrace run --emit-ranks` by calling the same
+// driver functions the tool calls: compile (compileForTracing), run
+// (runSource, CYPRESS only), build (writeRankTraces), merge
+// (mergeCypress) and write (writeTrace), on fig15 NPB workloads at
+// procs >= 32 for threads in {1,2,4,8}. Artifacts go to a temporary
+// directory that is removed after each rep. It prints a table and
+// writes BENCH_pipeline.json so future changes have a perf trajectory
+// to regress against; the rss_peak_kb marks regress the streaming
+// property (no stage materializes a full serialized trace). Three
+// extra sections: a streamed-vs-materialized head-to-head on the
+// biggest payload, a compressed-size-vs-P sweep (64/512/4096) against
+// the ScalaTrace and gzip baselines, and a query-vs-P sweep over the
+// same runs charting the compressed-domain comm-matrix query against
+// its decompress-then-scan oracle. Rows where threads exceed
+// hardware_concurrency are flagged (`*`, and "oversubscribed" in the
+// JSON) since they cannot show real scaling.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cst/builder.hpp"
 #include "cypress/decompress.hpp"
-#include "cypress/merge.hpp"
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
 #include "flate/stream.hpp"
-#include "minic/compile.hpp"
 #include "query/engine.hpp"
 #include "support/io.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
-#include "trace/observer.hpp"
-#include "vm/runner.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cypress;
@@ -45,7 +41,7 @@ using namespace cypress;
 namespace {
 
 struct Stages {
-  double compile = 0, run = 0, build = 0, merge = 0, serialize = 0, flate = 0;
+  double compile = 0, run = 0, build = 0, merge = 0, write = 0;
   // ru_maxrss (KiB) sampled before AND after each stage, recording the
   // max — so allocations that live only inside a stage still show up in
   // its mark even on platforms where the counter reads current rather
@@ -54,15 +50,17 @@ struct Stages {
   // and including stage i", and only the first rep of the first row
   // sees fresh marks — later samples inherit whatever high water
   // earlier work already set.
-  uint64_t rssKb[6] = {};
-  double total() const {
-    return compile + run + build + merge + serialize + flate;
-  }
+  uint64_t rssKb[5] = {};
+  double total() const { return compile + run + build + merge + write; }
 };
 
 Stages timeOnce(const std::string& name, int procs, int threads) {
-  const workloads::Workload& w = workloads::get(name);
-  const std::string source = w.source(procs, 1);
+  namespace fs = std::filesystem;
+  const std::string source = workloads::get(name).source(procs, 1);
+  const std::string dir =
+      (fs::temp_directory_path() / ("cyperf." + std::to_string(getpid())))
+          .string();
+  fs::remove_all(dir);
   Stages t;
   Stopwatch sw;
 
@@ -75,114 +73,43 @@ Stages timeOnce(const std::string& name, int procs, int threads) {
     rssBefore = after;
   };
 
-  // compile: MiniC front end + CYPRESS static phase (CST construction).
-  auto module = minic::compileProgram(source);
-  cst::StaticResult sr = cst::analyzeAndInstrument(*module);
-  cst::Tree cst = std::move(sr.cst);
+  driver::Options opts;
+  opts.procs = procs;
+  opts.threads = threads;
+  opts.withRaw = false;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  opts.precompiled = driver::compileForTracing(source);
   t.compile = sw.seconds();
   stampRss(0);
 
-  // run: traced simulated execution (epoch-parallel local phases).
   sw.restart();
-  simmpi::Engine::Config cfg;
-  cfg.numRanks = procs;
-  simmpi::Engine engine(cfg);
-  trace::RawTrace raw;
-  raw.ranks.resize(static_cast<size_t>(procs));
-  std::vector<std::unique_ptr<trace::RawRecorder>> raws;
-  std::vector<std::unique_ptr<core::CttRecorder>> cypress;
-  std::vector<std::unique_ptr<trace::TeeObserver>> tees;
-  std::vector<trace::Observer*> obs;
-  for (int r = 0; r < procs; ++r) {
-    auto tee = std::make_unique<trace::TeeObserver>();
-    raw.ranks[static_cast<size_t>(r)].rank = r;
-    raws.push_back(
-        std::make_unique<trace::RawRecorder>(raw.ranks[static_cast<size_t>(r)]));
-    tee->add(raws.back().get());
-    cypress.push_back(std::make_unique<core::CttRecorder>(cst, r));
-    tee->add(cypress.back().get());
-    tees.push_back(std::move(tee));
-    obs.push_back(tees.back().get());
-  }
-  vm::RunOptions runOpts;
-  runOpts.instructionLimitPerRank = 1ull << 34;
-  runOpts.threads = threads;
-  vm::run(*module, engine, obs, runOpts);
+  const driver::RunOutput run = driver::runSource(name, source, opts);
   t.run = sw.seconds();
   stampRss(1);
 
-  // build: per-rank CYPP trace files, streamed serialize→compress per
-  // rank (pool tasks) — the CTT byte stream never exists whole.
   sw.restart();
-  std::vector<std::vector<uint8_t>> rankFiles(static_cast<size_t>(procs));
-  parallelFor(static_cast<size_t>(procs), threads, [&](size_t r) {
-    VectorSink sink;
-    flate::StreamingCompressor sc(sink);
-    ByteWriter w(sc);
-    cypress[r]->ctt().serializeTo(w);
-    w.flush();
-    sc.finish();
-    rankFiles[r] = sink.take();
-  });
+  driver::writeRankTraces(run, dir, nullptr, threads);
   t.build = sw.seconds();
   stampRss(2);
 
-  // merge: the O(n log P) inter-process reduction.
   sw.restart();
-  std::vector<const core::Ctt*> ctts;
-  for (const auto& c : cypress) ctts.push_back(&c->ctt());
-  core::MergedCtt merged = core::mergeAll(std::move(ctts), nullptr, threads);
+  const core::MergedCtt merged = driver::mergeCypress(run, nullptr, threads);
   t.merge = sw.seconds();
   stampRss(3);
 
-  // serialize: walk the merged CYPC + raw CYTR producers through a
-  // counting sink — the serialization work without any buffer.
   sw.restart();
-  size_t mergedSize = 0, rawSize = 0;
-  {
-    NullSink null;
-    ByteWriter w(null);
-    merged.serializeTo(w);
-    w.flush();
-    mergedSize = w.size();
-  }
-  {
-    NullSink null;
-    ByteWriter w(null);
-    raw.serializeTo(w);
-    w.flush();
-    rawSize = w.size();
-  }
-  t.serialize = sw.seconds();
+  driver::writeTrace(merged, dir + "/trace.cyp");
+  t.write = sw.seconds();
   stampRss(4);
 
-  // flate: the fused serialize→compress chain over both producers —
-  // includes a second serialization walk (the price of never holding
-  // the stream), shards overlapping with it on `threads` lanes.
-  sw.restart();
-  auto streamFlate = [threads](const auto& producer) {
-    NullSink null;
-    flate::StreamingCompressor sc(null, flate::Level::Default, threads);
-    ByteWriter w(sc);
-    producer.serializeTo(w);
-    w.flush();
-    return sc.finish();
-  };
-  const auto gz = streamFlate(raw);
-  const auto cypGz = streamFlate(merged);
-  t.flate = sw.seconds();
-  stampRss(5);
-  (void)gz;
-  (void)cypGz;
-  (void)rankFiles;
-  (void)mergedSize;
-  (void)rawSize;
+  fs::remove_all(dir);
   return t;
 }
 
 Stages bestOf(const std::string& name, int procs, int threads, int reps) {
   Stages best;
-  uint64_t rep0Rss[6] = {};
+  uint64_t rep0Rss[5] = {};
   for (int i = 0; i < reps; ++i) {
     Stages t = timeOnce(name, procs, threads);
     if (i == 0) std::copy(std::begin(t.rssKb), std::end(t.rssKb), rep0Rss);
@@ -207,7 +134,7 @@ int main(int argc, char** argv) {
   bench::header("cyperf — pipeline stage wall times (s) by thread count",
                 "the parallel merge of Fig. 18, SC'14 CYPRESS paper");
   bench::row({"program", "procs", "threads", "compile", "run", "build",
-              "merge", "serialize", "flate", "total", "peakRSS"});
+              "merge", "write", "total", "peakRSS"});
 
   std::string json = "{\n";
   json += "  \"bench\": \"cyperf\",\n";
@@ -236,9 +163,8 @@ int main(int argc, char** argv) {
                   std::to_string(threads) + (oversubscribed ? "*" : ""),
                   bench::secs(t.compile), bench::secs(t.run),
                   bench::secs(t.build), bench::secs(t.merge),
-                  bench::secs(t.serialize), bench::secs(t.flate),
-                  bench::secs(t.total()),
-                  std::to_string(t.rssKb[5] >> 10) + "M"});
+                  bench::secs(t.write), bench::secs(t.total()),
+                  std::to_string(t.rssKb[4] >> 10) + "M"});
       std::fflush(stdout);
       char buf[896];
       std::snprintf(
@@ -246,20 +172,18 @@ int main(int argc, char** argv) {
           "%s    {\"workload\": \"%s\", \"procs\": %d, \"threads\": %d, "
           "\"oversubscribed\": %s, "
           "\"stages_s\": {\"compile\": %.6f, \"run\": %.6f, \"build\": %.6f, "
-          "\"merge\": %.6f, \"serialize\": %.6f, \"flate\": %.6f}, "
+          "\"merge\": %.6f, \"write\": %.6f}, "
           "\"total_s\": %.6f, "
           "\"rss_peak_kb\": {\"compile\": %llu, \"run\": %llu, "
-          "\"build\": %llu, \"merge\": %llu, \"serialize\": %llu, "
-          "\"flate\": %llu}}",
+          "\"build\": %llu, \"merge\": %llu, \"write\": %llu}}",
           first ? "" : ",\n", name.c_str(), procs, threads,
           oversubscribed ? "true" : "false", t.compile, t.run, t.build,
-          t.merge, t.serialize, t.flate, t.total(),
+          t.merge, t.write, t.total(),
           static_cast<unsigned long long>(t.rssKb[0]),
           static_cast<unsigned long long>(t.rssKb[1]),
           static_cast<unsigned long long>(t.rssKb[2]),
           static_cast<unsigned long long>(t.rssKb[3]),
-          static_cast<unsigned long long>(t.rssKb[4]),
-          static_cast<unsigned long long>(t.rssKb[5]));
+          static_cast<unsigned long long>(t.rssKb[4]));
       json += buf;
       first = false;
     }

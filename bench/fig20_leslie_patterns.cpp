@@ -1,13 +1,12 @@
 // Figure 20: LESlie3d communication patterns extracted from CYPRESS
-// traces at 32 and 64 processes. The matrices are computed from the
-// *decompressed* CYPRESS trace, demonstrating the paper's analysis use
-// case, then checked against the raw trace.
+// traces at 32 and 64 processes. The matrices are computed in the
+// compressed domain, demonstrating the paper's analysis use case, then
+// checked against the raw trace.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
-#include "trace/matrix.hpp"
+#include "query/engine.hpp"
 
 using namespace cypress;
 
@@ -20,20 +19,18 @@ void show(int procs) {
   opts.withScala2 = false;
   driver::RunOutput run = driver::runWorkload("LESLIE3D", opts);
 
-  core::MergedCtt merged = driver::mergeCypress(run);
-  trace::RawTrace decompressed = core::decompressAll(merged, procs);
-  auto m = trace::commMatrix(decompressed);
-  auto rawM = trace::commMatrix(run.raw);
-  const bool identical = m == rawM;
+  const auto cells = query::commMatrix(driver::mergeCypress(run));
+  const bool identical = query::renderMatrix(cells) ==
+                         query::renderMatrix(query::commMatrixFromRaw(run.raw));
 
-  std::printf("\nLESlie3d, %d processes (matrix from decompressed CYPRESS trace;"
+  std::printf("\nLESlie3d, %d processes (matrix from the compressed CYPRESS trace;"
               " matches raw trace: %s)\n",
               procs, identical ? "yes" : "NO!");
   // Neighbour list of rank 0 (the paper calls out 0 -> {1, 2, 8} at 32).
   std::printf("rank 0 communicates with:");
-  for (size_t j = 0; j < m[0].size(); ++j)
-    if (m[0][j] > 0) std::printf(" %zu", j);
-  std::printf("\n%s", trace::renderMatrix(m, procs > 32 ? 64 : 32).c_str());
+  for (const query::MatrixCell& c : cells)
+    if (c.src == 0 && c.bytes > 0) std::printf(" %d", c.dst);
+  std::printf("\n%s", query::heatMap(cells, procs, procs > 32 ? 64 : 32).c_str());
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Figure 21: LESlie3d execution-time prediction — measured time on the
-// simulated cluster vs SIM-MPI replay of the decompressed CYPRESS trace,
+// simulated cluster vs SIM-MPI replay of the compressed CYPRESS trace,
 // plus the communication-time share.
 #include <cmath>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
 #include "replay/simulator.hpp"
 
@@ -23,15 +22,15 @@ int main() {
   for (int procs : {32, 64, 128, 256, 512}) {
     driver::Options opts;
     opts.procs = procs;
+    opts.withRaw = false;
     opts.withScala = false;
     opts.withScala2 = false;
     opts.engine.jitter = 0.05;
     driver::RunOutput run = driver::runWorkload("LESLIE3D", opts);
 
     core::MergedCtt merged = driver::mergeCypress(run);
-    trace::RawTrace decompressed = core::decompressAll(merged, procs);
-    replay::Prediction p = replay::simulate(decompressed);
-    replay::Prediction timed = replay::simulateRecordedTimes(decompressed);
+    replay::Prediction p = replay::simulate(merged);
+    replay::Prediction timed = replay::simulateRecordedTimes(merged);
 
     const double measuredMs = static_cast<double>(run.runStats.executionNs) / 1e6;
     const double predictedMs = static_cast<double>(p.predictedNs) / 1e6;

@@ -188,6 +188,16 @@ verify::Report verifyRun(const RunOutput& run, int threads) {
   return verify::verifyRoundtrip(a);
 }
 
+size_t writeTrace(const core::MergedCtt& merged, const std::string& path,
+                  io::IoBackend* io) {
+  io::AtomicFileWriter writer(io ? *io : io::realIo(), path);
+  ByteWriter w(writer);
+  merged.serializeTo(w);
+  w.flush();
+  writer.commit();
+  return w.size();
+}
+
 SizeReport computeSizes(const RunOutput& run, int threads) {
   SizeReport rep;
   // The four per-tool branches touch disjoint SizeReport fields and

@@ -5,8 +5,13 @@
 //   → simulated execution with PMPI observers attached
 //   → per-tool compression, merging, sizes and overhead accounting.
 //
-// The same driver feeds the test suite, the examples and every bench
-// binary, so all reported numbers come from one code path.
+// The same driver feeds the tools (`cyptrace`, `cyptraced`), the
+// examples, the figure binaries and cyperf's stage timings, so the
+// reported numbers come from the code path users run. The exceptions
+// wire layers by hand on purpose: `bench/ablation_bench` (recorder
+// options are its subject), `bench/micro_kernels`,
+// `examples/quickstart` (it teaches the layers), the unit tests, and
+// `perfbench/` (frozen between benchmark changes; see ROADMAP.md).
 #pragma once
 
 #include <atomic>
@@ -174,6 +179,15 @@ core::MergedCtt mergeCypress(const RunOutput& run, CostMeter* cost = nullptr,
 
 /// Roundtrip-verify every trace a run produced (see verify/roundtrip.hpp).
 verify::Report verifyRun(const RunOutput& run, int threads = 1);
+
+/// Write a merged trace as one CYPC file, atomically (tmp + fsync +
+/// rename) through `io` (null = real backend). The bytes stream
+/// straight from the merged CTT, so the serialized trace never exists
+/// as one in-RAM buffer, and a kill or disk fault (io::IoError)
+/// mid-write never leaves a torn file under `path`. The file equals
+/// merged.serialize(). Returns its size in bytes.
+size_t writeTrace(const core::MergedCtt& merged, const std::string& path,
+                  io::IoBackend* io = nullptr);
 
 /// Write a run's per-rank traces as a rank-trace directory — the
 /// paper's deployment model made durable:

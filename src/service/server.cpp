@@ -455,10 +455,8 @@ JobServer::AttemptResult JobServer::runAttempt(
 
       core::MergedCtt merged =
           driver::mergeCypress(run, nullptr, cfg_.threadsPerJob);
-      const auto bytes = merged.serialize();
       res.artifactPath = base + ".cyp";
-      io::writeFileAtomic(*io_, res.artifactPath, bytes);
-      res.artifactBytes = bytes.size();
+      res.artifactBytes = driver::writeTrace(merged, res.artifactPath, io_);
       res.journalPath = base + ".cyj";
       io_->rename(partial, res.journalPath);
 

@@ -1,8 +1,9 @@
-// Disk-fault sweep over the `cyptrace run` artifact writes.
+// Disk-fault sweeps over the `cyptrace run` and `cyptrace recover`
+// artifact writes.
 //
 // The contract: every artifact of a run (merged .cyp, CYJ1 journal,
-// rank-trace directory) is written atomically through the streaming
-// sink chain, so a disk fault injected at ANY write/sync/rename
+// rank-trace directory) and the raw trace `recover --out` salvages is
+// written atomically, so a disk fault injected at ANY write/sync/rename
 // ordinal must leave each final name either absent or byte-identical
 // to the clean run's file — never torn — plus no leftover .tmp files,
 // and the process must exit with the distinct disk-failure code 4.
@@ -15,6 +16,8 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "child_process.hpp"
 
 #ifndef CYPTRACE_BIN
 #error "CYPTRACE_BIN must point at the cyptrace binary"
@@ -125,6 +128,50 @@ TEST(RunDiskFaultSweep, EveryFaultOrdinalLeavesNoTornArtifact) {
     EXPECT_TRUE(sawClean) << kind << ": no clean run within the sweep cap";
   }
   fs::remove_all(refDir);
+}
+
+TEST(RecoverDiskFaultSweep, EveryFaultOrdinalLeavesNothingOrTheExactFile) {
+  // A sealed journal from a clean run, and the raw trace a fault-free
+  // `recover --out` writes from it.
+  const std::string dir = freshDir("cyp-recover-fault");
+  const std::string journal = dir + "/run.cyj";
+  ASSERT_EQ(runChild(CYPTRACE_BIN, {"run", "JACOBI", "--procs", "4", "--out",
+                                    dir + "/trace.cyp", "--journal", journal})
+                .exitCode,
+            0);
+  ASSERT_EQ(
+      runChild(CYPTRACE_BIN, {"recover", journal, "--out", dir + "/ref.cytr"})
+          .exitCode,
+      0);
+  const std::vector<uint8_t> ref = fileBytes(dir + "/ref.cytr");
+  ASSERT_FALSE(ref.empty());
+
+  // (rename@N is excluded for the same reason as in the run sweep.)
+  const std::string out = dir + "/out.cytr";
+  for (const char* kind : {"enospc", "eio", "short", "fsync"}) {
+    bool sawFault = false, sawClean = false;
+    for (int n = 1; n <= 50 && !sawClean; ++n) {
+      const std::string spec = std::string(kind) + "@" + std::to_string(n);
+      SCOPED_TRACE(spec);
+      const ChildRun r = runChild(
+          CYPTRACE_BIN, {"recover", journal, "--out", out, "--io-fault", spec});
+      if (r.exitCode == 0) {
+        sawClean = true;
+        EXPECT_EQ(fileBytes(out), ref);
+      } else {
+        sawFault = true;
+        EXPECT_EQ(r.exitCode, 4) << r.stderrText;
+        EXPECT_FALSE(fs::exists(out)) << "torn file under the final name";
+      }
+      EXPECT_FALSE(fs::exists(out + ".tmp")) << "leftover temp file";
+      fs::remove(out);
+    }
+    // The write has at least one op of every kind, so the plan must
+    // fire before the sweep reaches a clean run.
+    EXPECT_TRUE(sawFault) << kind << ": --io-fault never reached the write";
+    EXPECT_TRUE(sawClean) << kind << ": no clean run within the sweep cap";
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -202,5 +202,26 @@ TEST(StreamingArtifacts, AtomicWriterAsSinkCommitsExactStream) {
   fs::remove_all(dir);
 }
 
+TEST(StreamingArtifacts, WriteTraceWritesTheSerializedBytes) {
+  const std::string dir = freshDir("cyp-stream-writetrace");
+  const core::MergedCtt merged = driver::mergeCypress(cgRun());
+  const std::string path = dir + "/trace.cyp";
+  const size_t written = driver::writeTrace(merged, path);
+  EXPECT_EQ(fileBytes(path), merged.serialize());
+  EXPECT_EQ(written, fs::file_size(path));
+  fs::remove_all(dir);
+}
+
+TEST(StreamingArtifacts, WriteTraceDiskFullLeavesNothingUnderTheFinalName) {
+  const std::string dir = freshDir("cyp-stream-writetrace-enospc");
+  const core::MergedCtt merged = driver::mergeCypress(cgRun());
+  const std::string path = dir + "/trace.cyp";
+  io::FaultyIoBackend faulty(io::realIo(), {io::parseIoFaultSpec("enospc@1")});
+  EXPECT_THROW(driver::writeTrace(merged, path, &faulty), io::IoError);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace cypress

@@ -12,10 +12,10 @@
 //       --io-fault injects deterministic disk faults into those writes
 //       (same SPECs as merge), and any disk fault exits with code 4
 //       leaving nothing torn under a final name.
-//   cyptrace recover <F.cyj> [--out F.cytr]
+//   cyptrace recover <F.cyj> [--out F.cytr] [--io-fault SPEC]...
 //       Salvage a (possibly torn) CYJ1 journal: replay intact segments,
 //       report lost/unfinalized ranks, optionally write the recovered
-//       raw trace.
+//       raw trace (atomically; --io-fault as for run).
 //   cyptrace merge <rankdir> [--out F.cyp] [--merge-budget BYTES]
 //                  [--batch-ranks N] [--work-dir D] [--resume] [--degrade]
 //                  [--io-fault SPEC]... [--crash-after-steps N] [--keep-work]
@@ -61,7 +61,6 @@
 //       check byte stability and (with --fuzz) corruption-fuzz the
 //       deserializer.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -115,7 +114,6 @@ struct Args {
   std::vector<std::string> ioFaults;
   uint64_t crashAfterSteps = 0;
   std::string querySpec;
-  bool queries = false;
 };
 
 [[noreturn]] void usage() {
@@ -125,7 +123,7 @@ struct Args {
                "               [--out F.cyp] [--fault SPEC]... [--journal F.cyj] [--salvage]\n"
                "               [--emit-ranks DIR] [--io-fault SPEC]...\n"
                "               (SPEC: kill:R@N | abort:R@N | drop:R@N | delay:R@N:NS)\n"
-               "  cyptrace recover <F.cyj> [--out F.cytr]\n"
+               "  cyptrace recover <F.cyj> [--out F.cytr] [--io-fault SPEC]...\n"
                "  cyptrace merge <rankdir> [--out F.cyp] [--merge-budget BYTES[k|m|g]]\n"
                "               [--batch-ranks N] [--work-dir D] [--resume] [--degrade]\n"
                "               [--io-fault SPEC]... [--crash-after-steps N] [--keep-work]\n"
@@ -138,7 +136,6 @@ struct Args {
                "               (SPEC: summary | hist | matrix | colls |\n"
                "                callsites src=A dst=B iter=K [loop=GID])\n"
                "  cyptrace compare <workload> --procs N [--scale S] [--threads T]\n"
-               "               [--queries]\n"
                "  cyptrace stats <F.cyp>\n"
                "  cyptrace diff <A.cyp> <B.cyp>\n"
                "  cyptrace verify <workload|file.mc|trace file> [--procs N] "
@@ -222,7 +219,6 @@ Args parse(int argc, char** argv) {
     else if (flag == "--keep-work") a.keepWork = true;
     else if (flag == "--io-fault") a.ioFaults.push_back(value());
     else if (flag == "--crash-after-steps") a.crashAfterSteps = std::stoull(value());
-    else if (flag == "--queries") a.queries = true;
     else usage();
   }
   return a;
@@ -234,13 +230,6 @@ std::string readFile(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-void writeFile(const std::string& path, std::span<const uint8_t> bytes) {
-  std::ofstream out(path, std::ios::binary);
-  CYP_CHECK(out.good(), "cannot open " << path << " for writing");
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 
 std::vector<uint8_t> readBytes(const std::string& path) {
@@ -291,19 +280,7 @@ int cmdRun(const Args& a) {
   driver::RunOutput run = runTarget(a, /*allTools=*/false);
   core::MergedCtt merged = driver::mergeCypress(run, nullptr, a.threads);
   const std::string out = a.out.empty() ? a.target + ".cyp" : a.out;
-  // Artifacts land atomically (tmp + fsync + rename) and are streamed
-  // straight from the merged CTT — the serialized trace never exists
-  // as one in-RAM buffer, and a kill or disk fault mid-write never
-  // leaves a torn file under the final name.
-  size_t outBytes = 0;
-  {
-    io::AtomicFileWriter writer(*io, out);
-    ByteWriter w(writer);
-    merged.serializeTo(w);
-    w.flush();
-    outBytes = w.size();
-    writer.commit();
-  }
+  const size_t outBytes = driver::writeTrace(merged, out, io);
   std::printf("traced %s on %d ranks: %llu events -> %s (%s)\n",
               a.target.c_str(), a.procs,
               static_cast<unsigned long long>(run.runStats.totalEvents),
@@ -396,8 +373,9 @@ int cmdRecover(const Args& a) {
   }
   std::printf("\n");
   if (!a.out.empty()) {
+    std::unique_ptr<io::FaultyIoBackend> faulty;
     const auto raw = rec.trace.serialize();
-    writeFile(a.out, raw);
+    io::writeFileAtomic(*faultIo(a, faulty), a.out, raw);
     std::printf("recovered raw trace -> %s (%s)\n", a.out.c_str(),
                 humanBytes(raw.size()).c_str());
   }
@@ -540,27 +518,6 @@ int cmdCompare(const Args& a) {
   std::printf("  cypress      %12s  (merge %.3f ms)\n",
               humanBytes(rep.cypressBytes).c_str(), rep.cypressInterSeconds * 1e3);
   std::printf("  cypress+gz   %12s\n", humanBytes(rep.cypressGzipBytes).c_str());
-  if (a.queries) {
-    // Sanity row: the compressed-domain comm matrix must equal the
-    // expanded-trace scan byte-for-byte (canonical JSON both sides).
-    core::MergedCtt merged = driver::mergeCypress(run, nullptr, a.threads);
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::string engine =
-        query::renderMatrix(query::commMatrix(merged, a.threads));
-    const auto t1 = std::chrono::steady_clock::now();
-    const std::string oracle =
-        query::renderMatrix(query::commMatrixFromRaw(run.raw));
-    const auto t2 = std::chrono::steady_clock::now();
-    const double engineMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double oracleMs =
-        std::chrono::duration<double, std::milli>(t2 - t1).count();
-    std::printf("  queries      matrix on compressed %.3f ms, raw scan %.3f ms"
-                " -> %s\n",
-                engineMs, oracleMs,
-                engine == oracle ? "identical" : "MISMATCH");
-    if (engine != oracle) return 1;
-  }
   return 0;
 }
 
