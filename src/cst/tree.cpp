@@ -23,6 +23,8 @@ const char* nodeKindName(NodeKind k) {
 void Tree::reset(std::unique_ptr<Node> root) {
   root_ = std::move(root);
   byGid_.clear();
+  slot_.clear();
+  kindCount_.fill(0);
   CYP_CHECK(root_ != nullptr, "CST reset with null root");
   // Pre-order GID assignment (paper §III-A).
   std::vector<Node*> stack = {root_.get()};
@@ -31,6 +33,7 @@ void Tree::reset(std::unique_ptr<Node> root) {
     stack.pop_back();
     n->gid = static_cast<int>(byGid_.size());
     byGid_.push_back(n);
+    slot_.push_back(kindCount_[static_cast<size_t>(n->kind)]++);
     for (auto it = n->children.rbegin(); it != n->children.rend(); ++it) {
       (*it)->parent = n;
       stack.push_back(it->get());
@@ -215,7 +218,8 @@ Tree Tree::fromText(const std::string& text) {
 }
 
 size_t Tree::memoryBytes() const {
-  size_t total = sizeof(*this) + byGid_.capacity() * sizeof(Node*);
+  size_t total = sizeof(*this) + byGid_.capacity() * sizeof(Node*) +
+                 slot_.capacity() * sizeof(int);
   if (root_) total += nodeBytes(*root_);
   return total;
 }

@@ -15,6 +15,8 @@
 // inlined at many call sites.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,6 +34,7 @@ enum class NodeKind : uint8_t {
   Call,      // inlined user-function instance
   Comm,      // MPI communication invocation (leaf)
 };
+inline constexpr size_t kNodeKinds = 5;
 
 const char* nodeKindName(NodeKind k);
 
@@ -86,6 +89,12 @@ class Tree {
   int numNodes() const { return static_cast<int>(byGid_.size()); }
   const Node* byGid(int gid) const { return byGid_[static_cast<size_t>(gid)]; }
 
+  /// Pre-order index of vertex `gid` among the vertices of its own
+  /// kind: per-kind payload arrays (a CTT's loop counts, branch
+  /// outcomes, leaf records) are indexed by it and sized by kindCount.
+  int slot(int gid) const { return slot_[static_cast<size_t>(gid)]; }
+  int kindCount(NodeKind k) const { return kindCount_[static_cast<size_t>(k)]; }
+
   /// Direct child of `ctx` that is the Loop/Branch structure with the
   /// given function-local id (entered path disambiguated by pathIndex for
   /// branches). Returns nullptr when the structure was pruned.
@@ -115,6 +124,8 @@ class Tree {
  private:
   std::unique_ptr<Node> root_;
   std::vector<Node*> byGid_;
+  std::vector<int> slot_;
+  std::array<int, kNodeKinds> kindCount_{};
 };
 
 }  // namespace cypress::cst

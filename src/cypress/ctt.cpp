@@ -6,11 +6,20 @@
 
 namespace cypress::core {
 
+const SectionSeq Ctt::kNoSeq;
+const std::vector<CommRecord> Ctt::kNoRecords;
+
 size_t Ctt::memoryBytes() const {
-  size_t total = sizeof(*this);
-  for (const auto& s : loopCounts_) total += s.memoryBytes();
-  for (const auto& s : taken_) total += s.memoryBytes();
-  for (const auto& s : leafExec_) total += s.memoryBytes();
+  size_t total = sizeof(*this) +
+                 (loopCounts_.capacity() + taken_.capacity() +
+                  leafExec_.capacity()) * sizeof(SectionSeq) +
+                 records_.capacity() * sizeof(std::vector<CommRecord>);
+  auto seqHeap = [](const SectionSeq& s) {
+    return s.memoryBytes() - sizeof(SectionSeq);
+  };
+  for (const auto& s : loopCounts_) total += seqHeap(s);
+  for (const auto& s : taken_) total += seqHeap(s);
+  for (const auto& s : leafExec_) total += seqHeap(s);
   for (const auto& v : records_) {
     total += v.capacity() * sizeof(CommRecord);
     for (const auto& r : v) total += r.memoryBytes() - sizeof(CommRecord);
@@ -29,13 +38,14 @@ size_t Ctt::compressedItems() const {
 
 void Ctt::serializeTo(ByteWriter& w) const {
   w.str("CYPP");
-  w.uv(loopCounts_.size());
-  for (size_t g = 0; g < loopCounts_.size(); ++g) {
-    loopCounts_[g].serialize(w);
-    taken_[g].serialize(w);
-    leafExec_[g].serialize(w);
-    w.uv(records_[g].size());
-    for (const CommRecord& r : records_[g]) r.serialize(w);
+  const int n = cst_->numNodes();
+  w.uv(static_cast<uint64_t>(n));
+  for (int g = 0; g < n; ++g) {
+    loopCounts(g).serialize(w);
+    taken(g).serialize(w);
+    leafExec(g).serialize(w);
+    w.uv(records(g).size());
+    for (const CommRecord& r : records(g)) r.serialize(w);
   }
 }
 
@@ -54,14 +64,42 @@ Ctt Ctt::deserialize(std::span<const uint8_t> data, const cst::Tree& cst) {
             "per-process trace: node count mismatch ("
                 << n << " vs " << cst.numNodes() << ")");
   for (uint64_t g = 0; g < n; ++g) {
-    c.loopCounts_[g] = SectionSeq::deserialize(r);
-    c.taken_[g] = SectionSeq::deserialize(r);
-    c.leafExec_[g] = SectionSeq::deserialize(r);
+    const int gid = static_cast<int>(g);
+    const cst::NodeKind kind = cst.byGid(gid)->kind;
+    // A payload on a vertex whose kind cannot carry it (loop counts on a
+    // branch, records on a loop) has no slot to live in: reject it.
+    auto expect = [&](bool ok, const char* what) {
+      CYP_CHECK(ok, "per-process trace: " << what << " on gid " << gid
+                                          << " (" << cst::nodeKindName(kind)
+                                          << ")");
+    };
+    SectionSeq counts = SectionSeq::deserialize(r);
+    expect(counts.empty() || kind == cst::NodeKind::Loop, "loop counts");
+    SectionSeq taken = SectionSeq::deserialize(r);
+    expect(taken.empty() || kind == cst::NodeKind::Branch, "branch outcomes");
+    SectionSeq exec = SectionSeq::deserialize(r);
+    expect(exec.empty() || kind == cst::NodeKind::Comm, "leaf ordinals");
     const uint64_t nr = r.checkedCount(r.uv(), CommRecord::kMinSerializedBytes);
-    r.chargeAlloc(nr * sizeof(CommRecord));
-    c.records_[g].reserve(nr);
-    for (uint64_t k = 0; k < nr; ++k)
-      c.records_[g].push_back(CommRecord::deserialize(r));
+    expect(nr == 0 || kind == cst::NodeKind::Comm, "comm records");
+    switch (kind) {
+      case cst::NodeKind::Loop:
+        c.loopCountsMut(gid) = std::move(counts);
+        break;
+      case cst::NodeKind::Branch:
+        c.takenMut(gid) = std::move(taken);
+        break;
+      case cst::NodeKind::Comm: {
+        c.leafExecMut(gid) = std::move(exec);
+        r.chargeAlloc(nr * sizeof(CommRecord));
+        auto& recs = c.recordsMut(gid);
+        recs.reserve(nr);
+        for (uint64_t k = 0; k < nr; ++k)
+          recs.push_back(CommRecord::deserialize(r));
+        break;
+      }
+      default:  // root and call vertices carry no payload
+        break;
+    }
   }
   CYP_CHECK(r.atEnd(), "per-process trace: trailing bytes");
   return c;
@@ -73,7 +111,7 @@ CttRecorder::CttRecorder(const cst::Tree& cst, int rank, Options opts)
       opts_(opts),
       ctt_(cst),
       exec_(static_cast<size_t>(cst.numNodes()), 0),
-      occ_(static_cast<size_t>(cst.numNodes()), 0) {
+      occ_(static_cast<size_t>(cst.kindCount(cst::NodeKind::Comm)), 0) {
   stack_.push_back(Frame{cst_.root(), 0});
   exec_[static_cast<size_t>(cst_.root()->gid)] = 1;
 }
@@ -224,7 +262,7 @@ void CttRecorder::onEvent(const trace::Event& e) {
                                                    << " not found under gid "
                                                    << top()->gid);
   auto& recs = ctt_.recordsMut(leaf->gid);
-  const uint64_t ordinal = occ_[static_cast<size_t>(leaf->gid)]++;
+  const uint64_t ordinal = occ_[static_cast<size_t>(cst_.slot(leaf->gid))]++;
   // Index this occurrence by the parent's execution ordinal, so leaves
   // that fire a variable number of times per execution (Waitsome, the
   // recursion approximation) replay with the right multiplicity.

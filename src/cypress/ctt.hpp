@@ -2,7 +2,7 @@
 // compressor (paper §IV-A).
 //
 // The CTT shares the CST's shape; per-vertex payloads are stored in
-// gid-indexed arrays:
+// per-kind arrays (one entry per vertex of that kind):
 //   - loop vertices:   per-activation iteration counts (SectionSeq —
 //                      the paper's <first,last,stride> tuples, Fig. 10)
 //   - branch vertices: parent-execution ordinals at which the path was
@@ -32,34 +32,38 @@ class Ctt {
  public:
   explicit Ctt(const cst::Tree& cst)
       : cst_(&cst),
-        loopCounts_(static_cast<size_t>(cst.numNodes())),
-        taken_(static_cast<size_t>(cst.numNodes())),
-        records_(static_cast<size_t>(cst.numNodes())),
-        leafExec_(static_cast<size_t>(cst.numNodes())) {}
+        loopCounts_(static_cast<size_t>(cst.kindCount(cst::NodeKind::Loop))),
+        taken_(static_cast<size_t>(cst.kindCount(cst::NodeKind::Branch))),
+        records_(static_cast<size_t>(cst.kindCount(cst::NodeKind::Comm))),
+        leafExec_(static_cast<size_t>(cst.kindCount(cst::NodeKind::Comm))) {}
 
   const cst::Tree& cst() const { return *cst_; }
 
+  // Payloads are stored per vertex kind (indexed by cst::Tree::slot);
+  // the gid-indexed readers return a shared empty value for a vertex
+  // whose kind carries no such payload.
   const SectionSeq& loopCounts(int gid) const {
-    return loopCounts_[static_cast<size_t>(gid)];
+    return is(gid, cst::NodeKind::Loop) ? loopCounts_[slot(gid)] : kNoSeq;
   }
-  const SectionSeq& taken(int gid) const { return taken_[static_cast<size_t>(gid)]; }
+  const SectionSeq& taken(int gid) const {
+    return is(gid, cst::NodeKind::Branch) ? taken_[slot(gid)] : kNoSeq;
+  }
   const std::vector<CommRecord>& records(int gid) const {
-    return records_[static_cast<size_t>(gid)];
+    return is(gid, cst::NodeKind::Comm) ? records_[slot(gid)] : kNoRecords;
   }
   /// Parent-execution ordinal of each event at this leaf (in occurrence
   /// order). Ordinary leaves emit exactly once per parent execution, so
   /// this compresses to a single <0,n-1,1> tuple; partial-completion ops
   /// (Waitsome) may emit zero or several events per execution.
   const SectionSeq& leafExec(int gid) const {
-    return leafExec_[static_cast<size_t>(gid)];
+    return is(gid, cst::NodeKind::Comm) ? leafExec_[slot(gid)] : kNoSeq;
   }
 
-  SectionSeq& loopCountsMut(int gid) { return loopCounts_[static_cast<size_t>(gid)]; }
-  SectionSeq& takenMut(int gid) { return taken_[static_cast<size_t>(gid)]; }
-  std::vector<CommRecord>& recordsMut(int gid) {
-    return records_[static_cast<size_t>(gid)];
-  }
-  SectionSeq& leafExecMut(int gid) { return leafExec_[static_cast<size_t>(gid)]; }
+  // Writers: `gid` must be a vertex of the payload's kind.
+  SectionSeq& loopCountsMut(int gid) { return loopCounts_[slot(gid)]; }
+  SectionSeq& takenMut(int gid) { return taken_[slot(gid)]; }
+  std::vector<CommRecord>& recordsMut(int gid) { return records_[slot(gid)]; }
+  SectionSeq& leafExecMut(int gid) { return leafExec_[slot(gid)]; }
 
   /// Exact heap footprint of the compressed payload (Fig. 16 memory).
   size_t memoryBytes() const;
@@ -74,16 +78,23 @@ class Ctt {
   /// serializeTo streams into `w` — pair it with a sink-backed writer
   /// (e.g. over flate::StreamingCompressor) so the CYPP bytes leave RAM
   /// as they are produced; serialize() is the materializing wrapper.
+  /// The file lists every vertex's four payloads, empty ones included.
   void serializeTo(ByteWriter& w) const;
   std::vector<uint8_t> serialize() const;
   static Ctt deserialize(std::span<const uint8_t> data, const cst::Tree& cst);
 
  private:
+  static const SectionSeq kNoSeq;
+  static const std::vector<CommRecord> kNoRecords;
+
+  bool is(int gid, cst::NodeKind k) const { return cst_->byGid(gid)->kind == k; }
+  size_t slot(int gid) const { return static_cast<size_t>(cst_->slot(gid)); }
+
   const cst::Tree* cst_;
-  std::vector<SectionSeq> loopCounts_;
-  std::vector<SectionSeq> taken_;
-  std::vector<std::vector<CommRecord>> records_;
-  std::vector<SectionSeq> leafExec_;
+  std::vector<SectionSeq> loopCounts_;            // per loop
+  std::vector<SectionSeq> taken_;                 // per branch
+  std::vector<std::vector<CommRecord>> records_;  // per comm leaf
+  std::vector<SectionSeq> leafExec_;              // per comm leaf
 };
 
 /// On-the-fly intra-process compressor for one rank.
@@ -152,7 +163,7 @@ class CttRecorder final : public trace::Observer {
   std::vector<Frame> stack_;
   std::vector<CallLogEntry> callLog_;
   std::vector<uint64_t> exec_;  // per-gid execution ordinal counters
-  std::vector<uint64_t> occ_;   // per-leaf event occurrence counters
+  std::vector<uint64_t> occ_;   // per-comm-leaf (slot) event occurrences
   CostMeter cost_;
   bool finalized_ = false;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <optional>
 
 #include "flate/flate.hpp"
 #include "support/error.hpp"
@@ -122,31 +124,49 @@ MergedCtt mergeAll(std::vector<const Ctt*> ctts, CostMeter* interCost,
   CYP_CHECK(ranks == nullptr || ranks->size() == ctts.size(),
             "mergeAll: " << ctts.size() << " CTTs but " << ranks->size()
                          << " rank labels");
-  // Wrap each process (rank = index unless the caller labels them).
-  std::vector<MergedCtt> level;
-  level.reserve(ctts.size());
-  for (size_t r = 0; r < ctts.size(); ++r)
-    level.push_back(MergedCtt::fromCtt(
-        *ctts[r], ranks ? (*ranks)[r] : static_cast<int>(r)));
+  // The reduction tree is fixed (the paper's O(n log P) parallel merge):
+  // level k+1 node i = node(k, 2i) ⊕ node(k, 2i+1), and an odd last node
+  // is carried up. So node i of level k covers leaves [i·2^k, (i+1)·2^k)
+  // ∩ [0, P), and since absorb is a pure function of its two operands,
+  // any evaluation order yields the same tree for every P and thread
+  // count. It is evaluated depth-first, wrapping each process's CTT
+  // only when its leaf is reached: one lane holds at most one pending
+  // left operand per level, O(log P) trees instead of all P.
+  const size_t n = ctts.size();
+  const std::function<MergedCtt(size_t, size_t)> node =
+      [&](size_t first, size_t width) {
+        if (width == 1)
+          return MergedCtt::fromCtt(
+              *ctts[first], ranks ? (*ranks)[first] : static_cast<int>(first));
+        const size_t half = width / 2;
+        if (first + half >= n) return node(first, half);  // carried up
+        MergedCtt left = node(first, half);
+        left.absorb(node(first + half, half));
+        return left;
+      };
 
-  // Binary-tree reduction (the paper's O(n log P) parallel merge). The
-  // pairing is fixed, so single- and multi-threaded runs produce
-  // identical trees. Each level's pair-merges are independent tasks on
-  // the shared pipeline pool.
   Stopwatch watch;
+  // One subtree per lane at the highest level that still has >= threads
+  // nodes; the few levels above it reduce a level at a time.
+  const auto lanes = static_cast<size_t>(threads);
+  size_t width = 1;
+  while (width < n && (n + 2 * width - 1) / (2 * width) >= lanes) width *= 2;
+  std::vector<std::optional<MergedCtt>> level((n + width - 1) / width);
+  parallelFor(level.size(), threads,
+              [&](size_t i) { level[i].emplace(node(i * width, width)); });
   while (level.size() > 1) {
     const size_t pairs = level.size() / 2;
     parallelFor(pairs, threads, [&](size_t p) {
-      level[2 * p].absorb(std::move(level[2 * p + 1]));
+      level[2 * p]->absorb(std::move(*level[2 * p + 1]));
     });
-    std::vector<MergedCtt> next;
+    std::vector<std::optional<MergedCtt>> next;
     next.reserve(pairs + 1);
     for (size_t p = 0; p < pairs; ++p) next.push_back(std::move(level[2 * p]));
     if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
     level = std::move(next);
   }
   if (interCost) interCost->add(watch.ns());
-  return std::move(level.front());
+  return std::move(*level.front());
 }
 
 namespace {

@@ -95,10 +95,12 @@ class MergedCtt {
 };
 
 /// Binary-tree reduction over per-process CTTs. `interCost`, when given,
-/// accumulates the pure merge CPU time (Fig. 18). `threads` > 1 runs each
-/// reduction level's independent pair-merges concurrently (the paper's
-/// parallel merge, §IV-B); the result is identical regardless of thread
-/// count because the pairing is fixed. `ranks`, when given, supplies the
+/// accumulates the merge CPU time (Fig. 18). The pairing is fixed —
+/// level k+1 node i merges level k nodes 2i and 2i+1, an odd last node
+/// is carried up — and evaluated depth-first, so only O(threads·log P)
+/// partial trees are live at once. `threads` > 1 builds one subtree per
+/// lane (the paper's parallel merge, §IV-B); the result is identical
+/// regardless of thread count. `ranks`, when given, supplies the
 /// world rank of each CTT (for partial merges over surviving ranks);
 /// by default ctts[i] is rank i.
 MergedCtt mergeAll(std::vector<const Ctt*> ctts, CostMeter* interCost = nullptr,

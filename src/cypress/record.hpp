@@ -196,7 +196,8 @@ struct CommRecord {
 
   size_t memoryBytes() const {
     return sizeof(*this) + matchedSources.memoryBytes() - sizeof(SectionSeq) +
-           ordinals.memoryBytes() - sizeof(SectionSeq);
+           ordinals.memoryBytes() - sizeof(SectionSeq) +
+           durationHist.memoryBytes() - sizeof(LogHistogram);
   }
 };
 

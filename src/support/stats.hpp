@@ -7,8 +7,8 @@
 // (power-of-two buckets, suitable for latencies spanning decades).
 #pragma once
 
-#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -95,16 +95,25 @@ class LogHistogram {
 
   void add(double x) {
     ++n_;
-    buckets_[bucketOf(x)]++;
+    allocate();
+    buckets_[static_cast<size_t>(bucketOf(x))]++;
   }
 
   void merge(const LogHistogram& o) {
     n_ += o.n_;
-    for (int i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
+    if (o.buckets_.empty()) return;
+    allocate();
+    for (size_t i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
   }
 
   uint64_t count() const { return n_; }
-  uint64_t bucket(int i) const { return buckets_[static_cast<size_t>(i)]; }
+  /// In-memory footprint, for the memory-overhead experiments.
+  size_t memoryBytes() const {
+    return sizeof(*this) + buckets_.capacity() * sizeof(uint64_t);
+  }
+  uint64_t bucket(int i) const {
+    return buckets_.empty() ? 0 : buckets_[static_cast<size_t>(i)];
+  }
 
   /// Lower edge of bucket i.
   static double bucketLow(int i) { return i == 0 ? 0.0 : std::ldexp(1.0, i); }
@@ -120,7 +129,7 @@ class LogHistogram {
     if (n_ == 0) return 0.0;
     double s = 0.0;
     for (int i = 0; i < kBuckets; ++i)
-      s += static_cast<double>(buckets_[static_cast<size_t>(i)]) * bucketMid(i);
+      s += static_cast<double>(bucket(i)) * bucketMid(i);
     return s / static_cast<double>(n_);
   }
 
@@ -142,9 +151,9 @@ class LogHistogram {
       if (c) ++nz;
     w.uv(nz);
     for (int i = 0; i < kBuckets; ++i) {
-      if (buckets_[static_cast<size_t>(i)]) {
+      if (bucket(i)) {
         w.uv(static_cast<uint64_t>(i));
-        w.uv(buckets_[static_cast<size_t>(i)]);
+        w.uv(bucket(i));
       }
     }
   }
@@ -156,6 +165,7 @@ class LogHistogram {
     CYP_CHECK(nz <= static_cast<uint64_t>(kBuckets),
               "histogram has " << nz << " sparse entries for " << kBuckets
                                << " buckets");
+    if (nz != 0) h.allocate();
     for (uint64_t k = 0; k < nz; ++k) {
       uint64_t i = r.uv();
       CYP_CHECK(i < kBuckets, "bad histogram bucket index " << i);
@@ -165,8 +175,15 @@ class LogHistogram {
   }
 
  private:
+  void allocate() {
+    if (buckets_.empty()) buckets_.resize(kBuckets);
+  }
+
   uint64_t n_ = 0;
-  std::array<uint64_t, kBuckets> buckets_{};
+  // All kBuckets counters, or empty until the first add / merge /
+  // non-empty deserialize: only TimeMode::Histogram recordings fill a
+  // histogram, and every CTT record carries one.
+  std::vector<uint64_t> buckets_;
 };
 
 }  // namespace cypress

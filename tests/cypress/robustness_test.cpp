@@ -1,8 +1,13 @@
 // Robustness tests: the serialized-trace deserializer must reject (by
 // throwing, never crashing or silently mis-reading) arbitrarily
 // corrupted and truncated inputs, and the parallel merge must be
-// bit-identical to the sequential one.
+// bit-identical to the sequential one and to the fixed level-order
+// reduction tree.
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <string>
+#include <vector>
 
 #include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
@@ -88,6 +93,64 @@ TEST(Robustness, ParallelMergeIdenticalToSequential) {
   }
 }
 
+// The fixed reduction tree mergeAll must evaluate, written out level by
+// level: level k+1 node i = node(k, 2i) ⊕ node(k, 2i+1), an odd last
+// node carried up.
+MergedCtt levelOrderMerge(const std::vector<const Ctt*>& ctts) {
+  std::vector<MergedCtt> level;
+  for (size_t r = 0; r < ctts.size(); ++r)
+    level.push_back(MergedCtt::fromCtt(*ctts[r], static_cast<int>(r)));
+  while (level.size() > 1) {
+    std::vector<MergedCtt> next;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) {
+      level[i].absorb(std::move(level[i + 1]));
+      next.push_back(std::move(level[i]));
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level = std::move(next);
+  }
+  return std::move(level.front());
+}
+
+TEST(Robustness, MergeAllEvaluatesTheFixedLevelOrderTree) {
+  // Jittered runs: every rank's time statistics differ, and
+  // RunningStats::merge is not associative, so a changed pairing shows
+  // in the merged float statistics.
+  driver::Options opts;
+  opts.procs = 100;
+  opts.withRaw = false;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  driver::RunOutput run = driver::runWorkload("JACOBI", opts);
+  std::vector<const Ctt*> all;
+  for (const auto& r : run.cypress) all.push_back(&r->ctt());
+  auto leaf = [&](int r) { return MergedCtt::fromCtt(*all[static_cast<size_t>(r)], r); };
+  auto join = [](MergedCtt a, MergedCtt b) {
+    a.absorb(std::move(b));
+    return a;
+  };
+
+  // P = 5 spelled out: ((0⊕1)⊕(2⊕3))⊕4.
+  const std::vector<const Ctt*> five(all.begin(), all.begin() + 5);
+  const auto tree5 =
+      join(join(join(leaf(0), leaf(1)), join(leaf(2), leaf(3))), leaf(4))
+          .serialize();
+  EXPECT_EQ(levelOrderMerge(five).serialize(), tree5);
+  // The pin is sensitive: a left fold ((((0⊕1)⊕2)⊕3)⊕4) differs.
+  EXPECT_NE(join(join(join(join(leaf(0), leaf(1)), leaf(2)), leaf(3)), leaf(4))
+                .serialize(),
+            tree5);
+
+  for (size_t procs : {1, 2, 3, 5, 6, 7, 9, 17, 100}) {
+    const std::vector<const Ctt*> ctts(all.begin(),
+                                       all.begin() + static_cast<std::ptrdiff_t>(procs));
+    const auto expected = levelOrderMerge(ctts).serialize();
+    for (int threads : {1, 2, 3, 4, 8})
+      EXPECT_EQ(mergeAll(ctts, nullptr, threads).serialize(), expected)
+          << "P=" << procs << " threads=" << threads;
+  }
+}
+
 TEST(Robustness, OfflineMergeFromPerProcessFiles) {
   // The paper's deployment model: each process writes its compressed
   // trace at finalize; the merge runs post-mortem. Serializing every
@@ -123,6 +186,76 @@ TEST(Robustness, PerProcessFileRejectsWrongTree) {
 
   driver::RunOutput other = driver::runWorkload("EP", opts);
   EXPECT_THROW(Ctt::deserialize(bytes, *other.cst), Error);
+}
+
+enum class Field { LoopCounts, Taken, LeafExec, Records };
+
+// `c` as CYPP bytes, except that vertex `to` also carries vertex
+// `from`'s payload `field`.
+std::vector<uint8_t> transplant(const Ctt& c, Field field, int from, int to) {
+  ByteWriter w;
+  w.str("CYPP");
+  const int n = c.cst().numNodes();
+  w.uv(static_cast<uint64_t>(n));
+  for (int g = 0; g < n; ++g) {
+    auto src = [&](Field f) { return f == field && g == to ? from : g; };
+    c.loopCounts(src(Field::LoopCounts)).serialize(w);
+    c.taken(src(Field::Taken)).serialize(w);
+    c.leafExec(src(Field::LeafExec)).serialize(w);
+    const auto& recs = c.records(src(Field::Records));
+    w.uv(recs.size());
+    for (const CommRecord& r : recs) r.serialize(w);
+  }
+  return w.take();
+}
+
+TEST(Robustness, PerProcessFileRejectsPayloadOnTheWrongKind) {
+  driver::Options opts;
+  opts.procs = 2;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  driver::RunOutput run = driver::runWorkload("JACOBI", opts);
+  const Ctt& ctt = run.cypress[0]->ctt();
+  const cst::Tree& tree = *run.cst;
+  auto firstWith = [&](auto has) {
+    for (int g = 0; g < tree.numNodes(); ++g)
+      if (has(g)) return g;
+    return -1;
+  };
+  const int loop = firstWith([&](int g) { return !ctt.loopCounts(g).empty(); });
+  const int branch = firstWith([&](int g) { return !ctt.taken(g).empty(); });
+  const int leaf = firstWith([&](int g) { return !ctt.records(g).empty(); });
+  ASSERT_GE(loop, 0);
+  ASSERT_GE(branch, 0);
+  ASSERT_GE(leaf, 0);
+
+  // The untouched re-encoding is the file itself.
+  EXPECT_EQ(transplant(ctt, Field::Records, leaf, leaf), ctt.serialize());
+
+  struct Case {
+    Field field;
+    int from, to;
+    std::string message;
+  };
+  const Case cases[] = {
+      {Field::LoopCounts, loop, branch,
+       "loop counts on gid " + std::to_string(branch) + " (branch)"},
+      {Field::Taken, branch, leaf,
+       "branch outcomes on gid " + std::to_string(leaf) + " (comm)"},
+      {Field::LeafExec, leaf, 0, "leaf ordinals on gid 0 (root)"},
+      {Field::Records, leaf, loop,
+       "comm records on gid " + std::to_string(loop) + " (loop)"},
+  };
+  for (const Case& c : cases) {
+    const auto bytes = transplant(ctt, c.field, c.from, c.to);
+    try {
+      Ctt::deserialize(bytes, tree);
+      ADD_FAILURE() << "accepted: " << c.message;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Robustness, DecompressUnknownRankFailsLoudly) {

@@ -122,5 +122,25 @@ TEST(LogHistogram, SerializeRoundTripSparse) {
   for (int i = 0; i < LogHistogram::kBuckets; ++i) EXPECT_EQ(g.bucket(i), h.bucket(i));
 }
 
+TEST(LogHistogram, BucketsAllocatedOnFirstUse) {
+  // Every CTT record carries a histogram that only TimeMode::Histogram
+  // fills: an unused one holds no buckets, reads as all zeros and
+  // serializes to the same two bytes as before.
+  LogHistogram empty, other;
+  empty.merge(other);
+  EXPECT_EQ(empty.memoryBytes(), sizeof(LogHistogram));
+  EXPECT_EQ(empty.bucket(LogHistogram::kBuckets - 1), 0u);
+  ByteWriter w;
+  empty.serialize(w);
+  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{0, 0}));
+  ByteReader r(w.bytes());
+  EXPECT_EQ(LogHistogram::deserialize(r).memoryBytes(), sizeof(LogHistogram));
+
+  other.add(3.0);
+  empty.merge(other);
+  EXPECT_GT(empty.memoryBytes(), sizeof(LogHistogram));
+  EXPECT_EQ(empty.bucket(1), 1u);
+}
+
 }  // namespace
 }  // namespace cypress
