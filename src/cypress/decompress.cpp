@@ -12,39 +12,71 @@ const SectionSeq* seqFor(const std::vector<SeqEntry>& entries, int rank) {
   return nullptr;
 }
 
+const LeafEntry* leafFor(const std::vector<LeafEntry>& entries, int rank) {
+  for (const LeafEntry& e : entries)
+    if (e.ranks.contains(rank)) return &e;
+  return nullptr;
+}
+
 }  // namespace
 
 CompressedCursor::CompressedCursor(const MergedCtt& m, int rank)
     : m_(&m), rank_(rank) {
-  const int n = m.cst().numNodes();
-  loopCur_.resize(static_cast<size_t>(n));
-  takenCur_.resize(static_cast<size_t>(n));
-  leaf_.resize(static_cast<size_t>(n));
+  const cst::Tree& tree = m.cst();
+  const int n = tree.numNodes();
+  loopCur_.resize(static_cast<size_t>(tree.kindCount(cst::NodeKind::Loop)));
+  takenCur_.resize(static_cast<size_t>(tree.kindCount(cst::NodeKind::Branch)));
+  leaf_.resize(static_cast<size_t>(tree.kindCount(cst::NodeKind::Comm)));
   execCount_.assign(static_cast<size_t>(n), 0);
   for (int g = 0; g < n; ++g) {
-    if (const SectionSeq* s = seqFor(m.loopEntries(g), rank))
-      loopCur_[static_cast<size_t>(g)].emplace(*s);
-    if (const SectionSeq* s = seqFor(m.takenEntries(g), rank))
-      takenCur_[static_cast<size_t>(g)].emplace(*s);
-    for (const LeafEntry& e : m.leafEntries(g)) {
-      if (e.ranks.contains(rank)) {
-        LeafCursor& c = leaf_[static_cast<size_t>(g)];
-        c.entry = &e;
-        c.execCursor.emplace(e.execOrdinals);
-        for (const CommRecord& rec : e.records) {
-          c.recs.push_back(RecState{
-              rec.ordinals.cursor(),
-              rec.matchedSources.empty()
-                  ? std::optional<SectionSeq::Cursor>()
-                  : std::optional<SectionSeq::Cursor>(
-                        rec.matchedSources.cursor()),
-              &rec});
+    const cst::NodeKind kind = tree.byGid(g)->kind;
+    const auto s = static_cast<size_t>(tree.slot(g));
+    const SectionSeq* loops = seqFor(m.loopEntries(g), rank);
+    const SectionSeq* taken = seqFor(m.takenEntries(g), rank);
+    const LeafEntry* leaf = leafFor(m.leafEntries(g), rank);
+    // A payload on a vertex whose kind cannot carry it has no cursor
+    // and would never be walked: reject it instead of dropping it.
+    auto expect = [&](bool ok, const char* what) {
+      CYP_CHECK(ok, "decompress: " << what << " on gid " << g << " ("
+                                   << cst::nodeKindName(kind) << ")");
+    };
+    expect(!loops || loops->empty() || kind == cst::NodeKind::Loop,
+           "loop activations");
+    expect(!taken || taken->empty() || kind == cst::NodeKind::Branch,
+           "branch outcomes");
+    expect(!leaf || (leaf->execOrdinals.empty() && leaf->records.empty()) ||
+               kind == cst::NodeKind::Comm,
+           "leaf records");
+    switch (kind) {
+      case cst::NodeKind::Loop:
+        if (loops) loopCur_[s].emplace(*loops);
+        break;
+      case cst::NodeKind::Branch:
+        if (taken) takenCur_[s].emplace(*taken);
+        break;
+      case cst::NodeKind::Comm:
+        if (leaf) {
+          LeafCursor& c = leaf_[s];
+          c.entry = leaf;
+          c.execCursor.emplace(leaf->execOrdinals);
+          c.recs.reserve(leaf->records.size());
+          for (const CommRecord& rec : leaf->records) {
+            c.recs.push_back(RecState{
+                rec.ordinals.cursor(),
+                rec.matchedSources.empty()
+                    ? std::optional<SectionSeq::Cursor>()
+                    : std::optional<SectionSeq::Cursor>(
+                          rec.matchedSources.cursor()),
+                &rec});
+          }
         }
         break;
-      }
+      case cst::NodeKind::Root:
+      case cst::NodeKind::Call:
+        break;
     }
   }
-  push(m.cst().root());
+  push(tree.root());
 }
 
 void CompressedCursor::push(const cst::Node* n) {
@@ -55,7 +87,7 @@ void CompressedCursor::push(const cst::Node* n) {
 }
 
 void CompressedCursor::fillEvent(const cst::Node* leaf) {
-  LeafCursor& c = leaf_[static_cast<size_t>(leaf->gid)];
+  LeafCursor& c = leaf_[slotOf(leaf)];
   CYP_CHECK(c.entry != nullptr, "decompress: rank "
                                     << rank_ << " has no records at gid "
                                     << leaf->gid);
@@ -101,7 +133,7 @@ void CompressedCursor::advance() {
     const cst::Node* child = n->children[f.child].get();
     switch (child->kind) {
       case cst::NodeKind::Comm: {
-        LeafCursor& lc = leaf_[static_cast<size_t>(child->gid)];
+        LeafCursor& lc = leaf_[slotOf(child)];
         if (lc.execCursor.has_value() && !lc.execCursor->done() &&
             lc.execCursor->peek() == static_cast<int64_t>(f.exec)) {
           lc.execCursor->next();
@@ -113,7 +145,7 @@ void CompressedCursor::advance() {
       }
       case cst::NodeKind::Loop: {
         if (!f.pendingValid) {
-          auto& cur = loopCur_[static_cast<size_t>(child->gid)];
+          auto& cur = loopCur_[slotOf(child)];
           CYP_CHECK(cur.has_value() && !cur->done(),
                     "decompress: missing loop activation at gid "
                         << child->gid);
@@ -133,7 +165,7 @@ void CompressedCursor::advance() {
         break;
       }
       case cst::NodeKind::Branch: {
-        auto& cur = takenCur_[static_cast<size_t>(child->gid)];
+        auto& cur = takenCur_[slotOf(child)];
         if (cur.has_value() && !cur->done() &&
             cur->peek() == static_cast<int64_t>(f.exec)) {
           cur->next();
@@ -157,21 +189,37 @@ void CompressedCursor::advance() {
 }
 
 void CompressedCursor::checkDrained() const {
-  const int n = m_->cst().numNodes();
+  const cst::Tree& tree = m_->cst();
+  const int n = tree.numNodes();
   for (int g = 0; g < n; ++g) {
-    const auto& lc = loopCur_[static_cast<size_t>(g)];
-    CYP_CHECK(!lc.has_value() || lc->done(),
-              "decompress: loop activations left over at gid " << g);
-    const auto& tc = takenCur_[static_cast<size_t>(g)];
-    CYP_CHECK(!tc.has_value() || tc->done(),
-              "decompress: branch outcomes left over at gid " << g);
-    const LeafCursor& c = leaf_[static_cast<size_t>(g)];
-    CYP_CHECK(!c.execCursor.has_value() || c.execCursor->done(),
-              "decompress: leaf occurrences left over at gid " << g);
-    for (const RecState& rs : c.recs) {
-      CYP_CHECK(rs.ord.done(), "decompress: records left over at gid " << g);
-      CYP_CHECK(!rs.matched.has_value() || rs.matched->done(),
-                "decompress: matched sources left over at gid " << g);
+    const auto s = static_cast<size_t>(tree.slot(g));
+    switch (tree.byGid(g)->kind) {
+      case cst::NodeKind::Loop: {
+        const auto& lc = loopCur_[s];
+        CYP_CHECK(!lc.has_value() || lc->done(),
+                  "decompress: loop activations left over at gid " << g);
+        break;
+      }
+      case cst::NodeKind::Branch: {
+        const auto& tc = takenCur_[s];
+        CYP_CHECK(!tc.has_value() || tc->done(),
+                  "decompress: branch outcomes left over at gid " << g);
+        break;
+      }
+      case cst::NodeKind::Comm: {
+        const LeafCursor& c = leaf_[s];
+        CYP_CHECK(!c.execCursor.has_value() || c.execCursor->done(),
+                  "decompress: leaf occurrences left over at gid " << g);
+        for (const RecState& rs : c.recs) {
+          CYP_CHECK(rs.ord.done(), "decompress: records left over at gid " << g);
+          CYP_CHECK(!rs.matched.has_value() || rs.matched->done(),
+                    "decompress: matched sources left over at gid " << g);
+        }
+        break;
+      }
+      case cst::NodeKind::Root:
+      case cst::NodeKind::Call:
+        break;
     }
   }
 }

@@ -12,6 +12,15 @@
 // and event-at-a-time analyses read the compressed form directly with
 // O(#CST vertices + #records + tree depth) state — never O(events).
 // decompressRank() is nothing but a cursor drained into a vector.
+//
+// The cursor state is laid out per vertex kind, like the Ctt it walks:
+// one loop-count cursor per Loop vertex, one outcome cursor per Branch
+// vertex and one leaf cursor (execution ordinals plus a record cursor
+// per CommRecord) per Comm vertex, each array sized by
+// cst::Tree::kindCount and indexed by cst::Tree::slot(gid). Only the
+// per-vertex execution counters span every gid. Replay keeps one
+// cursor per rank live at once, so this footprint is the replay's
+// per-rank memory.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +94,10 @@ class CompressedCursor {
     bool pendingValid = false;
   };
 
+  /// Index of `n` in the per-kind array of its kind.
+  size_t slotOf(const cst::Node* n) const {
+    return static_cast<size_t>(m_->cst().slot(n->gid));
+  }
   void push(const cst::Node* n);
   void fillEvent(const cst::Node* leaf);
   void advance();  // run the machine until an event is buffered or done
@@ -92,10 +105,10 @@ class CompressedCursor {
 
   const MergedCtt* m_;
   int rank_;
-  std::vector<std::optional<SectionSeq::Cursor>> loopCur_;
-  std::vector<std::optional<SectionSeq::Cursor>> takenCur_;
-  std::vector<LeafCursor> leaf_;
-  std::vector<uint64_t> execCount_;
+  std::vector<std::optional<SectionSeq::Cursor>> loopCur_;   // per Loop
+  std::vector<std::optional<SectionSeq::Cursor>> takenCur_;  // per Branch
+  std::vector<LeafCursor> leaf_;                             // per Comm
+  std::vector<uint64_t> execCount_;                          // per gid
   std::vector<Frame> stack_;
   trace::Event buf_;
   bool hasEvent_ = false;

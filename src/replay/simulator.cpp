@@ -64,7 +64,100 @@ class CompressedSource final : public EventSource {
 /// FIFO channel key for p2p matching.
 struct ChanKey {
   int32_t src, dst, tag, comm;
-  auto operator<=>(const ChanKey&) const = default;
+  bool operator==(const ChanKey&) const = default;
+};
+
+/// The p2p channels: an open-addressing index (linear probing over a
+/// power-of-two table of channel indices) from ChanKey into one contiguous
+/// vector of channels. Each channel queues the avail times of its
+/// in-flight messages, read from `head`; the queue is reset when it
+/// drains, so an idle channel keeps only its key and a small block.
+class ChannelTable {
+ public:
+  struct Channel {
+    ChanKey key{};
+    size_t head = 0;     // first unconsumed message
+    size_t claimed = 0;  // Waitall peek: messages already priced
+    std::vector<uint64_t> avail;
+
+    bool empty() const { return head == avail.size(); }
+    /// True when a message is left after the ones already claimed.
+    bool hasUnclaimed() const { return head + claimed < avail.size(); }
+    uint64_t front() const { return avail[head]; }
+    void pop() {
+      if (++head == avail.size()) {
+        avail.clear();
+        head = 0;
+      }
+    }
+  };
+
+  static constexpr int32_t kNone = -1;
+
+  /// Index of `k`'s channel, or kNone when no message was ever sent on it.
+  int32_t find(const ChanKey& k) const {
+    if (index_.empty()) return kNone;
+    for (size_t i = hash(k) & mask();; i = (i + 1) & mask()) {
+      const int32_t c = index_[i];
+      if (c == kNone || channels_[static_cast<size_t>(c)].key == k) return c;
+    }
+  }
+
+  Channel& findOrInsert(const ChanKey& k) {
+    if ((channels_.size() + 1) * 2 > index_.size()) grow();
+    size_t i = hash(k) & mask();
+    for (; index_[i] != kNone; i = (i + 1) & mask()) {
+      Channel& c = channels_[static_cast<size_t>(index_[i])];
+      if (c.key == k) return c;
+    }
+    index_[i] = static_cast<int32_t>(channels_.size());
+    channels_.push_back(Channel{k, 0, 0, {}});
+    return channels_.back();
+  }
+
+  Channel& operator[](int32_t chan) { return channels_[static_cast<size_t>(chan)]; }
+
+  /// Wildcard resolution for Waitall, whose events carry no matched
+  /// source: the channel into proto.dst with proto's tag and comm whose
+  /// source is lowest among those with an unclaimed message.
+  int32_t anyUnclaimed(const ChanKey& proto) const {
+    int32_t best = kNone;
+    for (size_t i = 0; i < channels_.size(); ++i) {
+      const Channel& c = channels_[i];
+      if (c.key.dst != proto.dst || c.key.tag != proto.tag ||
+          c.key.comm != proto.comm || !c.hasUnclaimed())
+        continue;
+      if (best == kNone || c.key.src < channels_[static_cast<size_t>(best)].key.src)
+        best = static_cast<int32_t>(i);
+    }
+    return best;
+  }
+
+ private:
+  static size_t hash(const ChanKey& k) {
+    const uint64_t a = (static_cast<uint64_t>(static_cast<uint32_t>(k.src)) << 32) |
+                       static_cast<uint32_t>(k.dst);
+    const uint64_t b = (static_cast<uint64_t>(static_cast<uint32_t>(k.tag)) << 32) |
+                       static_cast<uint32_t>(k.comm);
+    uint64_t h = a * 0x9E3779B97F4A7C15ull ^ b * 0xC2B2AE3D27D4EB4Full;
+    h ^= h >> 32;
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 29;
+    return static_cast<size_t>(h);
+  }
+  size_t mask() const { return index_.size() - 1; }
+
+  void grow() {
+    index_.assign(index_.empty() ? 64 : index_.size() * 2, kNone);
+    for (size_t c = 0; c < channels_.size(); ++c) {
+      size_t i = hash(channels_[c].key) & mask();
+      while (index_[i] != kNone) i = (i + 1) & mask();
+      index_[i] = static_cast<int32_t>(c);
+    }
+  }
+
+  std::vector<int32_t> index_;  // channel indices; kNone marks a free cell
+  std::vector<Channel> channels_;
 };
 
 struct OutstandingReq {
@@ -73,7 +166,6 @@ struct OutstandingReq {
   int64_t bytes = 0;
   int32_t postSite = -1;
   uint64_t postClock = 0;
-  int32_t matchedSource = -1;  // wildcard irecv: filled from the wait event
 };
 
 class Sim {
@@ -151,8 +243,8 @@ class Sim {
           q.postClock = clock_[static_cast<size_t>(r)];
           outstanding_[static_cast<size_t>(r)].push_back(q);
         }
-        channels_[key].push_back(clock_[static_cast<size_t>(r)] +
-                                 net_.transferTime(e.bytes));
+        channels_.findOrInsert(key).avail.push_back(
+            clock_[static_cast<size_t>(r)] + net_.transferTime(e.bytes));
         advance(r, sendCost);
         return finishEvent(r);
       }
@@ -160,11 +252,12 @@ class Sim {
         chargeCompute(r, e);
         const int32_t src = e.peer == trace::kAnySource ? e.matchedSource : e.peer;
         CYP_CHECK(src >= 0, "replay: Recv without a resolvable source");
-        const ChanKey key{src, r, e.tag, e.comm};
-        auto it = channels_.find(key);
-        if (it == channels_.end() || it->second.empty()) return false;  // blocked
-        const uint64_t avail = it->second.front();
-        it->second.pop_front();
+        const int32_t chan = channels_.find(ChanKey{src, r, e.tag, e.comm});
+        if (chan == ChannelTable::kNone || channels_[chan].empty())
+          return false;  // blocked
+        ChannelTable::Channel& ch = channels_[chan];
+        const uint64_t avail = ch.front();
+        ch.pop();
         const uint64_t done =
             std::max(clock_[static_cast<size_t>(r)], avail) + net_.recvOverhead(e.bytes);
         comm_[static_cast<size_t>(r)] += done - clock_[static_cast<size_t>(r)];
@@ -200,7 +293,7 @@ class Sim {
         CYP_CHECK(pick < reqs.size(),
                   "replay: wait for unknown request site " << e.reqId);
         uint64_t completion = 0;
-        if (!completeReq(r, reqs[static_cast<size_t>(pick)], e, &completion))
+        if (!completeReq(reqs[static_cast<size_t>(pick)], e, &completion))
           return false;  // message not yet available
         reqs.erase(reqs.begin() + static_cast<ssize_t>(pick));
         const uint64_t done = std::max(clock_[static_cast<size_t>(r)], completion);
@@ -211,21 +304,27 @@ class Sim {
       case ir::MpiOp::Waitall: {
         chargeCompute(r, e);
         auto& reqs = outstanding_[static_cast<size_t>(r)];
-        // All must be completable; peek without consuming first.
+        // All must be completable: price every request against the
+        // channel heads first, claiming FIFO positions without popping,
+        // then pop exactly the channels the pricing resolved.
         uint64_t latest = clock_[static_cast<size_t>(r)];
-        // Make a scratch copy of channels' heads per key to honour FIFO.
-        std::map<ChanKey, size_t> consumed;
+        resolved_.clear();
+        bool ready = true;
         for (const OutstandingReq& q : reqs) {
+          int32_t chan = ChannelTable::kNone;
           uint64_t completion = 0;
-          if (!peekReq(r, q, e, consumed, &completion)) return false;
+          if (!peekReq(q, e, &chan, &completion)) {
+            ready = false;
+            break;
+          }
+          resolved_.push_back(chan);
           latest = std::max(latest, completion);
         }
-        // Commit: consume the messages.
-        for (const OutstandingReq& q : reqs) {
-          uint64_t completion = 0;
-          const bool ok = completeReq(r, q, e, &completion);
-          CYP_CHECK(ok, "replay: waitall commit failed after successful peek");
-        }
+        for (int32_t chan : resolved_)
+          if (chan != ChannelTable::kNone) channels_[chan].claimed = 0;
+        if (!ready) return false;
+        for (int32_t chan : resolved_)
+          if (chan != ChannelTable::kNone) channels_[chan].pop();
         reqs.clear();
         const uint64_t done = latest + net_.recvOverhead(0);
         comm_[static_cast<size_t>(r)] += done - clock_[static_cast<size_t>(r)];
@@ -268,8 +367,9 @@ class Sim {
     return true;
   }
 
-  /// Completion time of one outstanding request, consuming its message.
-  bool completeReq(int r, const OutstandingReq& q, const Event& waitEv,
+  /// Completion time of one outstanding request (Wait, Waitany,
+  /// Waitsome), consuming its message.
+  bool completeReq(const OutstandingReq& q, const Event& waitEv,
                    uint64_t* completion) {
     if (q.isSend) {
       *completion = q.postClock + net_.sendOverhead(q.bytes);
@@ -277,65 +377,68 @@ class Sim {
     }
     ChanKey key = q.key;
     if (key.src == trace::kAnySource) {
-      CYP_CHECK(waitEv.matchedSource >= 0 ||
-                    waitEv.op == ir::MpiOp::Waitall,
+      CYP_CHECK(waitEv.matchedSource >= 0,
                 "replay: wildcard wait without matched source");
-      key.src = waitEv.matchedSource >= 0 ? waitEv.matchedSource
-                                          : anyMatchSource(r, key);
-      CYP_CHECK(key.src >= 0, "replay: cannot resolve wildcard source");
+      key.src = waitEv.matchedSource;
     }
-    auto it = channels_.find(key);
-    if (it == channels_.end() || it->second.empty()) return false;
-    *completion = std::max(q.postClock, it->second.front()) +
-                  net_.recvOverhead(q.bytes);
-    it->second.pop_front();
+    const int32_t chan = channels_.find(key);
+    if (chan == ChannelTable::kNone || channels_[chan].empty()) return false;
+    ChannelTable::Channel& ch = channels_[chan];
+    *completion = std::max(q.postClock, ch.front()) + net_.recvOverhead(q.bytes);
+    ch.pop();
     return true;
   }
 
   /// Like completeReq but without consuming (for waitall's all-or-nothing
-  /// check); `consumed` tracks FIFO positions already claimed.
-  bool peekReq(int r, const OutstandingReq& q, const Event& waitEv,
-               std::map<ChanKey, size_t>& consumed, uint64_t* completion) {
+  /// check): claims the next unclaimed message of the request's channel
+  /// and reports that channel in `*chan` (kNone for a send). A wildcard
+  /// resolves to the lowest source that still has an unclaimed message.
+  bool peekReq(const OutstandingReq& q, const Event& waitEv, int32_t* chan,
+               uint64_t* completion) {
     if (q.isSend) {
+      *chan = ChannelTable::kNone;
       *completion = q.postClock + net_.sendOverhead(q.bytes);
       return true;
     }
-    ChanKey key = q.key;
-    if (key.src == trace::kAnySource) {
-      key.src = waitEv.matchedSource >= 0 ? waitEv.matchedSource
-                                          : anyMatchSource(r, key);
-      if (key.src < 0) return false;
+    int32_t found = ChannelTable::kNone;
+    if (q.key.src != trace::kAnySource) {
+      found = channels_.find(q.key);
+    } else if (waitEv.matchedSource >= 0) {
+      ChanKey key = q.key;
+      key.src = waitEv.matchedSource;
+      found = channels_.find(key);
+    } else {
+      found = channels_.anyUnclaimed(q.key);
     }
-    auto it = channels_.find(key);
-    if (it == channels_.end()) return false;
-    size_t& used = consumed[key];
-    if (used >= it->second.size()) return false;
-    *completion = std::max(q.postClock, it->second[used]) +
+    if (found == ChannelTable::kNone || !channels_[found].hasUnclaimed())
+      return false;
+    ChannelTable::Channel& ch = channels_[found];
+    *completion = std::max(q.postClock, ch.avail[ch.head + ch.claimed]) +
                   net_.recvOverhead(q.bytes);
-    ++used;
+    ++ch.claimed;
+    *chan = found;
     return true;
   }
 
-  /// Resolve a wildcard receive inside Waitall: pick any channel into r
-  /// with a pending message (deterministic lowest source).
-  int32_t anyMatchSource(int r, const ChanKey& proto) {
-    for (const auto& [key, dq] : channels_) {
-      if (key.dst == r && key.tag == proto.tag && key.comm == proto.comm &&
-          !dq.empty()) {
-        return key.src;
-      }
-    }
-    return -1;
-  }
-
+  /// One collective instance. Its members' clocks do not move while it
+  /// is pending (chargeCompute is idempotent per event), so the running
+  /// max of the arrival clocks is all the per-member state it needs.
   struct Collective {
     ir::MpiOp op = ir::MpiOp::Barrier;
     int64_t bytes = 0;
     int arrived = 0;
+    int consumed = 0;  // members that took the result
     bool done = false;
+    uint64_t maxArrival = 0;
     uint64_t finish = 0;
-    std::vector<uint64_t> arrivals;
     std::map<int, int32_t> splitResult;  // world rank -> new comm handle
+  };
+
+  /// The live instances of one communicator: instance `base` first.
+  /// An instance every member has consumed is popped from the front.
+  struct CommCollectives {
+    std::deque<Collective> live;
+    int base = 0;
   };
 
   bool stepCollective(int r, const Event& e) {
@@ -351,13 +454,12 @@ class Sim {
       if (c.arrived == 0) {
         c.op = e.op;
         c.bytes = e.op == ir::MpiOp::CommSplit ? 0 : e.bytes;
-        c.arrivals.assign(src_.numRanks(), 0);
       } else {
         CYP_CHECK(c.op == e.op &&
                       (e.op == ir::MpiOp::CommSplit || c.bytes == e.bytes),
                   "replay: collective mismatch at " << ir::mpiOpName(e.op));
       }
-      c.arrivals[rr] = clock_[rr];
+      c.maxArrival = std::max(c.maxArrival, clock_[rr]);
       if (e.op == ir::MpiOp::CommSplit) {
         // The recorded result handle defines the group membership; the
         // replay rebuilds comms from it rather than recomputing.
@@ -365,12 +467,11 @@ class Sim {
       }
       ++c.arrived;
       if (c.arrived == static_cast<int>(members.size())) {
-        uint64_t t0 = 0;
-        for (int m : members) t0 = std::max(t0, c.arrivals[static_cast<size_t>(m)]);
         const ir::MpiOp costOp =
             e.op == ir::MpiOp::CommSplit ? ir::MpiOp::Barrier : e.op;
-        c.finish = t0 + net_.collectiveCost(costOp, c.bytes,
-                                            static_cast<int>(members.size()));
+        c.finish = c.maxArrival +
+                   net_.collectiveCost(costOp, c.bytes,
+                                       static_cast<int>(members.size()));
         c.done = true;
         if (e.op == ir::MpiOp::CommSplit) {
           // Group members by recorded handle.
@@ -389,18 +490,34 @@ class Sim {
       pendingColl_[rr] = mySeq;
       pendingCollComm_[rr] = e.comm;
     }
-    Collective& c = slot(pendingCollComm_[rr], pendingColl_[rr]);
+    const int comm = pendingCollComm_[rr];
+    Collective& c = slot(comm, pendingColl_[rr]);
     if (!c.done) return false;
-    comm_[rr] += c.finish - c.arrivals[rr];
+    // The clock still reads the arrival time (see Collective).
+    comm_[rr] += c.finish - clock_[rr];
     clock_[rr] = c.finish;
+    ++c.consumed;
+    retire(comm);
     pendingColl_[rr] = -1;
     return finishEvent(r);
   }
 
   Collective& slot(int comm, int seq) {
-    auto& dq = colls_[comm];
-    while (static_cast<size_t>(seq) >= dq.size()) dq.emplace_back();
-    return dq[static_cast<size_t>(seq)];
+    CommCollectives& cc = colls_[comm];
+    CYP_CHECK(seq >= cc.base, "replay: collective sequence went backwards");
+    const auto i = static_cast<size_t>(seq - cc.base);
+    while (i >= cc.live.size()) cc.live.emplace_back();
+    return cc.live[i];
+  }
+
+  /// Pop the instances of `comm` that every member has consumed.
+  void retire(int comm) {
+    CommCollectives& cc = colls_[comm];
+    while (!cc.live.empty() && cc.live.front().done &&
+           cc.live.front().consumed == cc.live.front().arrived) {
+      cc.live.pop_front();
+      ++cc.base;
+    }
   }
 
   const std::vector<int>& commMembers(int comm) {
@@ -419,10 +536,11 @@ class Sim {
   uint64_t totalEvents_ = 0;
   std::vector<uint64_t> clock_, comm_;
   std::vector<size_t> consumed_;
-  std::map<ChanKey, std::deque<uint64_t>> channels_;  // message avail times
+  ChannelTable channels_;
+  std::vector<int32_t> resolved_;  // Waitall: channel per request, or kNone
   std::vector<std::vector<OutstandingReq>> outstanding_;
   std::vector<std::map<int, int>> collSeq_;
-  std::map<int, std::deque<Collective>> colls_;
+  std::map<int, CommCollectives> colls_;
   std::vector<int64_t> computeChargedIdx_;
   std::vector<int> pendingColl_;
   std::vector<int> pendingCollComm_;

@@ -12,7 +12,22 @@
 // consumes an event-at-a-time source rather than materialized vectors:
 // the MergedCtt overloads drive it straight off the compressed trace
 // through core::CompressedCursor — per-rank memory is the cursor
-// state, not the decompressed event vector.
+// state (laid out per CST vertex kind, see cypress/decompress.hpp),
+// not the decompressed event vector.
+//
+// The rest of the live state is kept small and contiguous, because the
+// sweep visits every rank in turn:
+//   - p2p channels live in one flat table: an open-addressing index
+//     from (src, dst, tag, comm) into a vector of channels, each a
+//     queue of message avail times that is reset when it drains;
+//   - a collective instance holds O(1) state (arrival count, running
+//     max of arrival clocks, finish time) and is dropped once every
+//     member has consumed it.
+//
+// Waitall events carry no matched sources, so a wildcard receive
+// completed by a Waitall is resolved heuristically: to the lowest
+// source whose channel still has a message not claimed by an earlier
+// request of the same Waitall.
 #pragma once
 
 #include <cstdint>

@@ -151,11 +151,7 @@ bool Engine::tryMatchRecv(int rank, int64_t reqIdx) {
 
 Engine::Collective& Engine::collectiveSlot(int comm, int seq) {
   auto& dq = collectives_[comm];
-  int& base = collBase_[comm];
-  if (dq.empty() && seq >= base) {
-    // Drop fully-consumed prefix lazily by re-basing.
-    base = base == 0 && seq == 0 ? 0 : base;
-  }
+  const int base = collBase_[comm];
   CYP_CHECK(seq >= base, "collective sequence went backwards");
   while (static_cast<size_t>(seq - base) >= dq.size()) {
     Collective c;
@@ -163,6 +159,17 @@ Engine::Collective& Engine::collectiveSlot(int comm, int seq) {
     dq.push_back(std::move(c));
   }
   return dq[static_cast<size_t>(seq - base)];
+}
+
+void Engine::consumeCollective(int comm, int seq) {
+  auto& dq = collectives_.at(comm);
+  int& base = collBase_.at(comm);
+  ++dq[static_cast<size_t>(seq - base)].consumed;
+  while (!dq.empty() && dq.front().done &&
+         dq.front().consumed == dq.front().arrived) {
+    dq.pop_front();
+    ++base;
+  }
 }
 
 void Engine::completeSplit(int comm, Collective& c) {
@@ -251,6 +258,7 @@ OpStatus Engine::handleCollective(int rank, const OpDesc& d) {
       r.opResult = e.reqId;
     }
     emit(rank, e, c.finishNs - arrive);
+    consumeCollective(d.comm, seq);
     return OpStatus::Complete;
   }
 
@@ -609,6 +617,7 @@ void Engine::completePending(int rank) {
         r.opResult = e.reqId;
       }
       emit(rank, e, duration);
+      consumeCollective(p.desc.comm, static_cast<int>(p.reqIdx));
       return;
     }
   }

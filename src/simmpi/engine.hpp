@@ -235,6 +235,7 @@ class Engine {
     int64_t bytes = 0;
     int32_t root = -1;
     int arrived = 0;
+    int consumed = 0;  // members whose call has completed
     bool done = false;
     uint64_t finishNs = 0;
     // per-rank arrival info (clock, callSiteId); index by world rank.
@@ -271,6 +272,11 @@ class Engine {
 
   Collective& collectiveSlot(int comm, int seq);
 
+  /// Record that one member's call on collective (comm, seq) completed,
+  /// then pop the done, fully consumed instances at the front of the
+  /// communicator's queue so a run keeps O(live collectives) slots.
+  void consumeCollective(int comm, int seq);
+
   void completeSplit(int comm, Collective& c);
 
   std::vector<RankState> ranks_;
@@ -278,7 +284,8 @@ class Engine {
   LogGP net_;
   double jitter_;
   FaultPlan faults_;
-  // Collectives per communicator, indexed by sequence number.
+  // Live collectives per communicator: slot i is sequence number
+  // collBase_[comm] + i. Retired slots are popped from the front.
   std::map<int, std::deque<Collective>> collectives_;
   std::map<int, int> collBase_;  // first live sequence number per comm
   bool progress_ = false;

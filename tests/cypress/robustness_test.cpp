@@ -258,6 +258,44 @@ TEST(Robustness, PerProcessFileRejectsPayloadOnTheWrongKind) {
   }
 }
 
+TEST(Robustness, CursorRejectsPayloadOnTheWrongKind) {
+  // The cursor keeps one array per vertex kind, so a loop payload on a
+  // vertex that is not a loop has no cursor to be walked by; it must be
+  // rejected, not silently dropped. Re-read a JACOBI trace against a
+  // tree whose loop vertex was turned into a call vertex.
+  driver::Options opts;
+  opts.procs = 2;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  driver::RunOutput run = driver::runWorkload("JACOBI", opts);
+  const std::vector<uint8_t> bytes = driver::mergeCypress(run).serialize();
+  int loop = -1;
+  for (int g = 0; g < run.cst->numNodes() && loop < 0; ++g)
+    if (run.cst->byGid(g)->kind == cst::NodeKind::Loop) loop = g;
+  ASSERT_GE(loop, 0);
+
+  // Node `gid` opens with the gid-th '(' of the pre-order text, followed
+  // by its kind number.
+  std::string text = run.cst->toText();
+  size_t at = 0;
+  for (int g = 0; g <= loop; ++g) at = text.find('(', at) + 1;
+  ASSERT_EQ(text[at], '0' + static_cast<int>(cst::NodeKind::Loop));
+  text[at] = static_cast<char>('0' + static_cast<int>(cst::NodeKind::Call));
+  const cst::Tree altered = cst::Tree::fromText(text);
+  ASSERT_EQ(altered.byGid(loop)->kind, cst::NodeKind::Call);
+
+  const MergedCtt m = MergedCtt::deserialize(bytes, altered);
+  try {
+    decompressRank(m, 0);
+    ADD_FAILURE() << "accepted a loop payload on a call vertex";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("loop activations on gid " +
+                                         std::to_string(loop) + " (call)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Robustness, DecompressUnknownRankFailsLoudly) {
   const auto bytes = makeTrace(4);
   cst::Tree tree;

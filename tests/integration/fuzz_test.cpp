@@ -256,13 +256,19 @@ TEST_P(FuzzPipeline, RandomProgramRoundTripsThroughEverything) {
         << "rank " << r;
   }
 
-  // The decompressed trace must replay cleanly in SIM-MPI, and
-  // `cyptrace stats` read off the compressed form must print exactly
-  // what a scan of the decompressed trace prints.
+  // The decompressed trace must replay cleanly in SIM-MPI, replaying
+  // the compressed form must predict exactly the same, and `cyptrace
+  // stats` read off the compressed form must print exactly what a scan
+  // of the decompressed trace prints.
   if (run.raw.totalEvents() > 0) {
     trace::RawTrace dec = core::decompressAll(merged, opts.procs);
     replay::Prediction p = replay::simulate(dec);
     EXPECT_EQ(p.totalEvents, run.raw.totalEvents());
+    const replay::Prediction direct = replay::simulate(merged);
+    EXPECT_EQ(direct.predictedNs, p.predictedNs);
+    EXPECT_EQ(direct.totalEvents, p.totalEvents);
+    EXPECT_EQ(direct.rankClockNs, p.rankClockNs);
+    EXPECT_EQ(direct.rankCommNs, p.rankCommNs);
     ASSERT_EQ(query::rankSpan(merged), opts.procs);
     const trace::TraceStats st = query::traceStats(merged);
     const trace::TraceStats want = trace::computeStats(dec);

@@ -1,11 +1,12 @@
 // Peak memory of `cyptrace run`: the command keeps no raw event trace,
-// the simulated MPI engine retires finished requests, and the merge
-// evaluates its reduction tree depth-first, so the process's peak RSS
-// follows the live per-rank recorder state instead of the number of
-// events traced. Two bounds, read with wait4 from a forked cyptrace:
-// the contract is 16 MB + 4 KiB per rank, and the peak must also stay
-// below the memory the raw trace alone would need (events x
-// sizeof(trace::Event)).
+// the simulated MPI engine retires finished requests and collectives,
+// and the merge evaluates its reduction tree depth-first, so the
+// process's peak RSS follows the live per-rank recorder state instead
+// of the number of events traced. Bounds, read with wait4 from a forked
+// cyptrace: the contract is 16 MB + 4 KiB per rank, the peak must also
+// stay below the memory the raw trace alone would need (events x
+// sizeof(trace::Event)), and it must not grow with the number of
+// collective calls.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "child_process.hpp"
@@ -56,6 +58,39 @@ TEST(RunMemory, PeakRssStaysBelowTheRawTraceSize) {
   EXPECT_LT(run.maxRssKiB * 1024, rawBytes)
       << "peak RSS " << run.maxRssKiB << " KiB for " << events
       << " events (raw trace " << rawBytes / 1024 << " KiB)";
+}
+
+/// Peak RSS of `cyptrace run` on a loop of `iters` allreduces at P=256.
+uint64_t allreduceLoopRunRssKiB(int iters) {
+  const std::string base = (fs::temp_directory_path() /
+                            ("cyp-run-coll." + std::to_string(getpid()) +
+                             "." + std::to_string(iters)))
+                               .string();
+  std::ofstream(base + ".mc")
+      << "func main() {\n"
+      << "  for (var k = 0; k < " << iters << "; k = k + 1) {\n"
+      << "    compute(1000);\n"
+      << "    mpi_allreduce(8);\n"
+      << "  }\n"
+      << "}\n";
+  const ChildRun run = runChild(
+      CYPTRACE_BIN,
+      {"run", base + ".mc", "--procs", "256", "--out", base + ".cyp"});
+  fs::remove(base + ".mc");
+  fs::remove(base + ".cyp");
+  EXPECT_EQ(run.exitCode, 0) << run.stderrText;
+  return run.maxRssKiB;
+}
+
+TEST(RunMemory, CollectiveSlotsAreRetired) {
+  // Each collective instance holds P-sized arrival state until every
+  // member has completed it; keeping retired instances would add
+  // ~6 KiB per call at P=256, over 100 MB for 18000 more calls.
+  const uint64_t small = allreduceLoopRunRssKiB(2000);
+  const uint64_t large = allreduceLoopRunRssKiB(20000);
+  EXPECT_LT(large, small + 4 * 1024)
+      << "run peak RSS " << large << " KiB for 20000 allreduces vs " << small
+      << " KiB for 2000";
 }
 
 }  // namespace

@@ -7,12 +7,14 @@
 #include "cypress/ctt.hpp"
 #include "cypress/decompress.hpp"
 #include "cypress/merge.hpp"
+#include "driver/pipeline.hpp"
 #include "minic/compile.hpp"
 #include "replay/simulator.hpp"
 #include "simmpi/engine.hpp"
 #include "support/io.hpp"
 #include "trace/observer.hpp"
 #include "vm/runner.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cypress::replay {
 namespace {
@@ -246,6 +248,35 @@ MergedTrace mergeTraced(const std::string& src, int ranks) {
   return MergedTrace{sr, core::mergeAll(ctts)};
 }
 
+void expectSamePrediction(const Prediction& got, const Prediction& want) {
+  EXPECT_EQ(got.predictedNs, want.predictedNs);
+  EXPECT_EQ(got.totalEvents, want.totalEvents);
+  EXPECT_EQ(got.rankClockNs, want.rankClockNs);
+  EXPECT_EQ(got.rankCommNs, want.rankCommNs);
+}
+
+TEST(Replay, WaitallCompletesSeveralWildcardReceives) {
+  // Waitall events carry no matched sources, so replay resolves each
+  // wildcard itself. Two wildcards in one Waitall must take the two
+  // senders' messages, not both claim the lowest source's only one.
+  const char* src = R"(
+    func main() {
+      if (rank == 0) {
+        var a = mpi_irecv(ANY_SOURCE, 64, 1);
+        var b = mpi_irecv(ANY_SOURCE, 64, 1);
+        mpi_waitall();
+      } else {
+        mpi_send(0, 64, 1);
+      }
+    })";
+  const Traced t = runTraced(src, 3);
+  const Prediction raw = simulate(t.raw);
+  EXPECT_EQ(raw.totalEvents, 5u);
+  const MergedTrace merged = mergeTraced(src, 3);
+  expectSamePrediction(simulate(merged.m), raw);
+  expectSamePrediction(simulate(core::decompressAll(merged.m, 3)), raw);
+}
+
 TEST(CompressedReplay, PredictionIdenticalToDecompressedReplay) {
   // The compressed-domain source must feed SIM-MPI the exact event
   // stream decompressAll produces, so the predictions are equal to the
@@ -262,17 +293,43 @@ TEST(CompressedReplay, PredictionIdenticalToDecompressedReplay) {
   const MergedTrace t = mergeTraced(src, 6);
   const core::MergedCtt& merged = t.m;
   const trace::RawTrace expanded = core::decompressAll(merged, 6);
-  const auto direct = simulate(merged);
-  const auto viaExpansion = simulate(expanded);
-  EXPECT_EQ(direct.totalEvents, viaExpansion.totalEvents);
-  EXPECT_EQ(direct.predictedNs, viaExpansion.predictedNs);
-  EXPECT_EQ(direct.rankClockNs, viaExpansion.rankClockNs);
-  EXPECT_EQ(direct.rankCommNs, viaExpansion.rankCommNs);
+  expectSamePrediction(simulate(merged), simulate(expanded));
 
   const auto timedDirect = simulateRecordedTimes(merged);
   const auto timedExpanded = simulateRecordedTimes(expanded);
   EXPECT_EQ(timedDirect.totalEvents, timedExpanded.totalEvents);
   EXPECT_EQ(timedDirect.predictedNs, timedExpanded.predictedNs);
+}
+
+/// Smallest process count each built-in workload runs at in the
+/// workload suite.
+int smallestProcs(const std::string& name) {
+  if (name == "LESLIE3D") return 8;
+  if (name == "DT") return 12;
+  return 16;
+}
+
+TEST(CompressedReplay, EveryWorkloadMatchesItsExpansion) {
+  // The differential replay oracle: on every built-in workload and under
+  // both network models, replaying the compressed trace gives the same
+  // prediction, field by field, as replaying its full expansion.
+  for (const std::string& name : workloads::allNames()) {
+    SCOPED_TRACE(name);
+    driver::Options opts;
+    opts.procs = smallestProcs(name);
+    opts.withRaw = false;
+    opts.withScala = false;
+    opts.withScala2 = false;
+    const driver::RunOutput run = driver::runWorkload(name, opts);
+    const core::MergedCtt merged = driver::mergeCypress(run);
+    const trace::RawTrace expanded = core::decompressAll(merged, opts.procs);
+    for (const simmpi::LogGP& net :
+         {simmpi::LogGP::infiniband(), simmpi::LogGP::ethernet()}) {
+      const Prediction direct = simulate(merged, net);
+      EXPECT_GT(direct.totalEvents, 0u);
+      expectSamePrediction(direct, simulate(expanded, net));
+    }
+  }
 }
 
 TEST(CompressedReplay, PartialTraceIsRejected) {
