@@ -78,41 +78,52 @@ RunOutput runSource(const std::string& name, const std::string& source,
     out.journal =
         std::make_unique<trace::JournalBuilder>(opts.procs, opts.journalSink);
 
+  // Rank-private observers (raw, CYPRESS, ScalaTrace) get every hook on
+  // the lane that owns the rank, through one TeeObserver when there are
+  // several. The journal recorder flushes into the shared builder, so it
+  // is the engine's commit-thread observer instead (see vm/vm.hpp).
   std::vector<std::unique_ptr<trace::RawRecorder>> raws;
   std::vector<std::unique_ptr<trace::TeeObserver>> tees;
   std::vector<trace::Observer*> obs;
+  std::vector<trace::Observer*> rankObs;  // one rank's private observers
   core::CttRecorder::Options cypressOpts(core::TimeMode::MeanStddev);
   scalatrace::Recorder::Options scalaOpts(scalatrace::Flavor::V1);
   scalatrace::Recorder::Options scala2Opts(scalatrace::Flavor::V2);
   cypressOpts.meterHooks = scalaOpts.meterHooks = scala2Opts.meterHooks =
       opts.meterHooks;
   for (int r = 0; r < opts.procs; ++r) {
-    auto tee = std::make_unique<trace::TeeObserver>();
+    rankObs.clear();
     if (opts.withRaw) {
       out.raw.ranks[static_cast<size_t>(r)].rank = r;
       raws.push_back(std::make_unique<trace::RawRecorder>(
           out.raw.ranks[static_cast<size_t>(r)]));
-      tee->add(raws.back().get());
+      rankObs.push_back(raws.back().get());
     }
     if (opts.withJournal) {
       out.journalRecorders.push_back(std::make_unique<trace::JournalRecorder>(
           *out.journal, r, opts.journalFlushEvery));
-      tee->add(out.journalRecorders.back().get());
+      engine.setObserver(r, out.journalRecorders.back().get());
     }
     if (opts.withCypress) {
       out.cypress.push_back(
           std::make_unique<core::CttRecorder>(*out.cst, r, cypressOpts));
-      tee->add(out.cypress.back().get());
+      rankObs.push_back(out.cypress.back().get());
     }
     if (opts.withScala) {
       out.scala.push_back(std::make_unique<scalatrace::Recorder>(r, scalaOpts));
-      tee->add(out.scala.back().get());
+      rankObs.push_back(out.scala.back().get());
     }
     if (opts.withScala2) {
       out.scala2.push_back(
           std::make_unique<scalatrace::Recorder>(r, scala2Opts));
-      tee->add(out.scala2.back().get());
+      rankObs.push_back(out.scala2.back().get());
     }
+    if (rankObs.size() <= 1) {
+      obs.push_back(rankObs.empty() ? nullptr : rankObs.front());
+      continue;
+    }
+    auto tee = std::make_unique<trace::TeeObserver>();
+    for (trace::Observer* o : rankObs) tee->add(o);
     tees.push_back(std::move(tee));
     obs.push_back(tees.back().get());
   }

@@ -55,12 +55,12 @@ std::shared_ptr<const CompiledProgram> compileForTracing(
 struct Options {
   int procs = 8;
   int scale = 1;
-  /// Parallelism of the traced run itself (the epoch scheduler's local
-  /// phases, see vm/runner.hpp). The post-run stages take their own
-  /// `threads` argument. All parallel stages are fixed-order fan-outs
-  /// on the shared pool (support/thread_pool.hpp) with a deterministic
-  /// commit order, so every produced trace is byte-identical for any
-  /// value of `threads`.
+  /// Parallelism of the traced run itself (the epoch scheduler's
+  /// persistent lanes, see vm/runner.hpp). The post-run stages take
+  /// their own `threads` argument and fan out on the shared pool
+  /// (support/thread_pool.hpp). Every stage has a fixed work partition
+  /// and a deterministic commit order, so every produced trace is
+  /// byte-identical for any value of `threads`.
   int threads = 1;
   /// Record the full raw event trace in RunOutput::raw. Only needed by
   /// consumers of the expanded trace (raw sizes, roundtrip

@@ -41,6 +41,14 @@ void Engine::setObserver(int rank, trace::Observer* obs) {
   rs(rank).observer = obs;
 }
 
+void Engine::deferEvents(int rank) { rs(rank).deferring = true; }
+
+void Engine::drainEvents(int rank, trace::Observer& obs) {
+  std::vector<trace::Event>& buf = rs(rank).deferred;
+  for (const trace::Event& e : buf) obs.onEvent(e);
+  buf.clear();
+}
+
 uint64_t Engine::jittered(uint64_t ns, int rank) {
   if (jitter_ <= 0.0 || ns == 0) return ns;
   const double f = 1.0 + jitter_ * (2.0 * rs(rank).rng.uniform() - 1.0);
@@ -73,6 +81,7 @@ void Engine::emit(int rank, trace::Event e, uint64_t durationNs) {
   r.commTime += durationNs;
   ++r.events;
   if (r.observer) r.observer->onEvent(e);
+  if (r.deferring) r.deferred.push_back(e);
   progress_ = true;
 }
 

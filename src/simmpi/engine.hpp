@@ -9,12 +9,14 @@
 // schedule, so whole-program runs are reproducible bit-for-bit.
 //
 // Threading contract (see vm/runner.cpp for the epoch scheduler): only
-// addCompute() touches nothing but the issuing rank's own RankState —
-// including its private jitter RNG — and may be called from that rank's
-// pool thread during a parallel local phase. Every other mutating entry
-// point (execute, poll, finalizeRank, setObserver) reaches cross-rank
-// state (message queues, collectives, the progress flag) and must be
-// called from the single commit thread, in deterministic rank order.
+// addCompute() and drainEvents() touch nothing but the issuing rank's
+// own RankState — its private jitter RNG and its deferred-event buffer
+// — and may be called from the lane that owns the rank during a
+// parallel local phase. Every other mutating entry point (execute,
+// poll, finalizeRank, setObserver, deferEvents) reaches cross-rank
+// state (message queues, collectives, the progress flag) or state the
+// commit phase writes, and must be called from the single commit
+// thread, in deterministic rank order.
 #pragma once
 
 #include <cstdint>
@@ -66,11 +68,25 @@ class Engine {
 
   int numRanks() const { return static_cast<int>(ranks_.size()); }
 
-  /// Attach the PMPI observer for a rank (may be null).
+  /// Attach the rank's commit-thread observer (may be null). It gets
+  /// each event inside execute()/poll() and onFinalize() inside
+  /// finalizeRank(), on the commit thread in rank order — what an
+  /// observer that writes shared state (a JournalRecorder flushing into
+  /// its JournalBuilder) needs. It sees no structure or call markers.
   void setObserver(int rank, trace::Observer* obs);
 
+  /// Also keep the rank's events in a per-rank buffer, in emission
+  /// order, for the rank's private observer (the VM's, see vm/vm.hpp),
+  /// which takes them with drainEvents() off the commit thread.
+  void deferEvents(int rank);
+
+  /// Hand the rank's buffered events to `obs` in emission order and
+  /// empty the buffer. Touches only the rank's own buffer.
+  void drainEvents(int rank, trace::Observer& obs);
+
   /// Issue an operation for `rank`. On Complete the event has been
-  /// delivered to the observer. On Blocked the engine remembers the
+  /// delivered to the commit-thread observer and, under deferEvents(),
+  /// appended to the rank's buffer. On Blocked the engine remembers the
   /// pending condition; the caller must call poll() until it reports
   /// completion before issuing another operation for this rank.
   /// For Isend/Irecv, *reqIdOut receives the request handle.
@@ -90,7 +106,9 @@ class Engine {
   /// Account local computation time (advances the rank's clock).
   void addCompute(int rank, uint64_t ns);
 
-  /// Mark a rank finished (MPI_Finalize): flushes the observer.
+  /// Mark a rank finished (MPI_Finalize): calls the commit-thread
+  /// observer's onFinalize(). The rank's buffered events are left to
+  /// its private observer's owner.
   void finalizeRank(int rank);
 
   /// Measured virtual time of a rank.
@@ -106,7 +124,8 @@ class Engine {
   }
 
   /// Trace events emitted for a rank so far — exactly the events its
-  /// observer received, counted whether or not an observer is attached.
+  /// observers receive once its buffer is drained, counted whether or
+  /// not an observer is attached.
   uint64_t eventCount(int rank) const { return rs(rank).events; }
 
   /// True when some operation completed since the last call (used by the
@@ -219,7 +238,9 @@ class Engine {
     std::vector<int64_t> pendingRecvs;   // posted, unmatched recv requests
     std::vector<int> collSeq;            // per-comm collective counters
     PendingOp pending;
-    trace::Observer* observer = nullptr;
+    trace::Observer* observer = nullptr;  // commit-thread observer
+    bool deferring = false;               // buffer events in `deferred`
+    std::vector<trace::Event> deferred;   // emitted, not yet drained
     uint64_t msgSeq = 0;
     int64_t opResult = -1;  // CommSplit result handle
     bool finalized = false;

@@ -32,7 +32,7 @@ RankVM::RankVM(const ir::Module& m, int rank, simmpi::Engine& engine,
   const ir::Function* main = m.function(m.entry);
   CYP_CHECK(main != nullptr, "module has no entry function");
   CYP_CHECK(main->numParams == 0, "entry function must take no parameters");
-  engine_.setObserver(rank, observer);
+  if (observer_) engine_.deferEvents(rank);
   pushFrame(main, {});
 }
 
@@ -59,9 +59,9 @@ void RankVM::popFrame() {
   frames_.pop_back();
   if (!frames_.empty() && observer_) observer_->onCallExit(fn->name);
   if (frames_.empty()) {
-    // The program is done, but finalizeRank() flushes the observer —
-    // journal recorders write into a shared builder — so it is deferred
-    // to the commit phase, where it runs in deterministic rank order.
+    // The program is done, but finalizeRank() calls the commit-thread
+    // observer — a journal recorder writes into a shared builder — so
+    // it is deferred to the commit phase, where it runs in rank order.
     finished_ = true;
     needsFinalize_ = true;
   }
@@ -82,7 +82,7 @@ bool RankVM::executeInstr(const ir::Instr& i) {
       return true;
     case ir::InstrKind::Compute: {
       const int64_t ns = eval(*i.expr);
-      CYP_CHECK(ns >= 0, "negative compute() cost");
+      CYP_CHECK(ns >= 0, "rank " << rank_ << ": negative compute() cost");
       engine_.addCompute(rank_, static_cast<uint64_t>(ns));
       return true;
     }
@@ -173,11 +173,17 @@ void RankVM::executeTerminator() {
   }
 }
 
-RankVM::Local RankVM::runLocal() {
-  if (finished_) return Local::Finished;
-  if (waitingOnEngine_) return Local::Waiting;
-  if (atMpi_) return Local::AtMpi;
+void RankVM::drainEvents() {
+  if (observer_) engine_.drainEvents(rank_, *observer_);
+}
 
+uint64_t RankVM::runLocal() {
+  // The events committed since the last slice come before any marker
+  // this slice emits, exactly as if they had been delivered at commit.
+  drainEvents();
+  if (finished_ || waitingOnEngine_ || atMpi_) return 0;
+
+  const uint64_t before = instructions_;
   while (!finished_) {
     const ir::Instr* i = currentInstr();
     if (i == nullptr) {
@@ -190,18 +196,22 @@ RankVM::Local RankVM::runLocal() {
       // phase; the call itself is issued at commit and counted there.
       pendingDesc_ = buildOpDesc(*i);
       atMpi_ = true;
-      return Local::AtMpi;
+      break;
     }
     countInstr();
     if (executeInstr(*i)) ++frames_.back().instr;
     // else: a Call pushed a frame; continue in the callee.
   }
-  return Local::Finished;
+  return instructions_ - before;
 }
 
 bool RankVM::commitStep() {
   if (needsFinalize_) {
     engine_.finalizeRank(rank_);
+    if (observer_) {
+      drainEvents();
+      observer_->onFinalize();
+    }
     needsFinalize_ = false;
     return true;
   }

@@ -6,20 +6,27 @@
 //   - runLocal() executes instructions up to (but not including) the
 //     next MPI call, evaluating that call's arguments into a prepared
 //     OpDesc. It touches only this rank's own state — frames, the
-//     rank's observer, and the engine's rank-local compute accounting —
-//     so local phases of different ranks may run on pool threads
-//     concurrently.
+//     rank's observer, the engine's rank-local compute accounting and
+//     the rank's deferred-event buffer — so local phases of different
+//     ranks may run on different lanes concurrently.
 //   - commitStep() performs the rank's parked engine interaction
 //     (issue the prepared MPI call, poll a blocked one, or finalize a
 //     finished rank). Commits mutate cross-rank engine state and must
 //     run on a single thread, in deterministic rank order.
 //
-// The VM emits the PMPI observer hooks: structure markers and
-// user-function call boundaries from runLocal() (on the rank's local
-// thread), MPI events and finalization from commitStep() (via the
-// engine, on the commit thread). Per-rank observer stacks are isolated,
-// except that journal recorders flush into a shared builder — which is
-// why those flushes only ever happen on the commit thread.
+// The VM's observer is rank-private: every hook it receives runs on
+// the thread that owns the rank at that moment. Structure markers and
+// user-function call boundaries are emitted from runLocal(). MPI events
+// complete at commit, where the engine appends them to the rank's
+// pending buffer (Engine::deferEvents); the VM drains that buffer into
+// the observer at the start of the rank's next runLocal(), before
+// onFinalize() at commit, and on drainEvents() (which vm::run calls for
+// every rank when it returns, so a dead or stalled rank's last events
+// still arrive). A rank's hook order is therefore the same as if events
+// were delivered at commit; only the thread they run on changes. An
+// observer that writes shared state (a JournalRecorder) is instead
+// attached with Engine::setObserver and receives events on the commit
+// thread.
 #pragma once
 
 #include <cstdint>
@@ -33,22 +40,19 @@ namespace cypress::vm {
 
 class RankVM {
  public:
-  /// `observer` may be null (no tracing). The module must outlive the VM.
+  /// `observer` may be null (no tracing); it receives this rank's hooks,
+  /// MPI events included, off the commit thread (see above). The module
+  /// must outlive the VM.
   RankVM(const ir::Module& m, int rank, simmpi::Engine& engine,
          trace::Observer* observer);
 
-  /// Where a local phase left the rank.
-  enum class Local : uint8_t {
-    AtMpi,     ///< parked at an MPI call, OpDesc prepared for commit
-    Waiting,   ///< blocked in the engine, needs a poll at commit
-    Finished,  ///< program done (finalize may still be pending) or died
-  };
-
-  /// Execute instructions until the next MPI call, a block, or program
-  /// end. Safe to run concurrently with other ranks' local phases; never
-  /// touches cross-rank engine state. Calling it on a rank that is
-  /// waiting/parked/finished returns the current state without work.
-  Local runLocal();
+  /// Hand the events committed since the last slice to the observer,
+  /// then execute instructions until the next MPI call, a block, or
+  /// program end. Returns the instructions retired. Safe to run
+  /// concurrently with other ranks' local phases; never touches
+  /// cross-rank engine state. A rank that is waiting, parked or
+  /// finished only has its events drained and retires nothing.
+  uint64_t runLocal();
 
   /// True when the rank has a commit-phase action pending (a prepared
   /// MPI call, a blocked op to poll, or a deferred finalize).
@@ -73,6 +77,10 @@ class RankVM {
   bool died() const { return died_; }
   int rank() const { return rank_; }
   uint64_t instructionsExecuted() const { return instructions_; }
+
+  /// Deliver the events committed since the last drain to the observer.
+  /// Call only from the thread that owns the rank.
+  void drainEvents();
 
   /// Abort guard: throw if a rank executes more than this many
   /// instructions (runaway-loop detection in tests and benches).

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "driver/pipeline.hpp"
+#include "flate/flate.hpp"
 #include "simmpi/fault.hpp"
 #include "support/error.hpp"
 #include "trace/journal.hpp"
@@ -146,10 +147,12 @@ TEST(FaultMatrix, EveryRankDeadDegradesToAnnotatedEmptyTrace) {
 TEST(FaultMatrix, ParallelSchedulerPreservesFaultOutcomes) {
   // The seeded matrix again, but under the parallel epoch scheduler:
   // every plan must resolve to exactly the same outcome at threads 1
-  // and threads 4 — same journal bytes, same casualties, same
-  // diagnostics, or the same structured error. Fault ordinals are
-  // per-rank counters and commits run in rank order, so the thread
-  // count must be unobservable even mid-crash.
+  // and threads 4 — same journal, raw trace, survivors' per-rank CYPP
+  // and merged CYPC bytes, same casualties, same diagnostics, or the
+  // same structured error. Fault ordinals are per-rank counters and
+  // commits run in rank order, and a dead or stalled rank's pending
+  // events are drained when the run ends, so the thread count must be
+  // unobservable even mid-crash.
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const auto plan = simmpi::randomFaultPlan(seed, /*numRanks=*/8);
     SCOPED_TRACE("seed " + std::to_string(seed) + ": " + plan.toString());
@@ -157,6 +160,9 @@ TEST(FaultMatrix, ParallelSchedulerPreservesFaultOutcomes) {
       bool threw = false;
       std::string error;
       std::vector<uint8_t> journal;
+      std::vector<uint8_t> raw;
+      std::vector<std::vector<uint8_t>> rankTraces;  // survivors' CYPP
+      std::vector<uint8_t> merged;                   // CYPC
       std::vector<int> deadRanks;
       std::vector<int> stalledRanks;
       std::string stallDiagnostics;
@@ -168,6 +174,11 @@ TEST(FaultMatrix, ParallelSchedulerPreservesFaultOutcomes) {
                                              faultOptions(plan, threads));
         checkOutcome(run, plan);
         o.journal = run.journal->bytes();
+        o.raw = run.raw.serialize();
+        for (const auto& rec : run.cypress)
+          if (rec->finalized())
+            o.rankTraces.push_back(flate::compress(rec->ctt().serialize()));
+        o.merged = driver::mergeCypress(run).serialize();
         o.deadRanks = run.runStats.deadRanks;
         o.stalledRanks = run.runStats.stalledRanks;
         o.stallDiagnostics = run.runStats.stallDiagnostics;
@@ -182,6 +193,9 @@ TEST(FaultMatrix, ParallelSchedulerPreservesFaultOutcomes) {
     EXPECT_EQ(par.threw, seq.threw);
     EXPECT_EQ(par.error, seq.error);
     EXPECT_EQ(par.journal, seq.journal);
+    EXPECT_EQ(par.raw, seq.raw);
+    EXPECT_EQ(par.rankTraces, seq.rankTraces);
+    EXPECT_EQ(par.merged, seq.merged);
     EXPECT_EQ(par.deadRanks, seq.deadRanks);
     EXPECT_EQ(par.stalledRanks, seq.stalledRanks);
     EXPECT_EQ(par.stallDiagnostics, seq.stallDiagnostics);
