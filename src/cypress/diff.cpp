@@ -1,5 +1,6 @@
 #include "cypress/diff.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cypress::core {
@@ -33,28 +34,44 @@ std::string seqSummary(const SectionSeq& s) {
   return os.str();
 }
 
+/// Pairs entries by rank set in O(E log E), not O(E²): DT has one entry
+/// per rank. `sorted` holds a vertex's entries stably ordered by rank
+/// set, i.e. by lowest rank for the disjoint sets of a valid trace, so
+/// the first entry with equal ranks is found.
+template <typename Entry>
+const Entry* findRanks(const std::vector<const Entry*>& sorted,
+                       const RankSet& ranks) {
+  const auto it = std::lower_bound(
+      sorted.begin(), sorted.end(), ranks,
+      [](const Entry* e, const RankSet& r) { return e->ranks.ranks() < r.ranks(); });
+  return it != sorted.end() && (*it)->ranks == ranks ? *it : nullptr;
+}
+
+template <typename Entry>
+std::vector<const Entry*> sortedByRanks(const std::vector<Entry>& entries) {
+  std::vector<const Entry*> out;
+  for (const Entry& e : entries) out.push_back(&e);
+  std::stable_sort(out.begin(), out.end(), [](const Entry* a, const Entry* b) {
+    return a->ranks.ranks() < b->ranks.ranks();
+  });
+  return out;
+}
+
 void diffSeqEntries(int gid, const char* kind, const std::vector<SeqEntry>& a,
                     const std::vector<SeqEntry>& b, TraceDiff* out) {
-  // Pair entries by rank overlap; report content changes and rank moves.
+  // Pair entries by rank set; report content changes and rank moves.
+  const auto sorted = sortedByRanks(b);
   for (const SeqEntry& ea : a) {
-    bool matched = false;
-    for (const SeqEntry& eb : b) {
-      if (ea.ranks == eb.ranks) {
-        matched = true;
-        if (!(ea.seq == eb.seq)) {
-          std::ostringstream os;
-          os << kind << " for ranks " << rankSetStr(ea.ranks) << " changed: "
-             << seqSummary(ea.seq) << " -> " << seqSummary(eb.seq);
-          out->entries.push_back(DiffEntry{gid, os.str()});
-        }
-        break;
-      }
-    }
-    if (!matched) {
-      std::ostringstream os;
+    const SeqEntry* eb = findRanks(sorted, ea.ranks);
+    std::ostringstream os;
+    if (eb == nullptr)
       os << kind << " rank grouping changed (was " << rankSetStr(ea.ranks) << ")";
-      out->entries.push_back(DiffEntry{gid, os.str()});
-    }
+    else if (!(ea.seq == eb->seq))
+      os << kind << " for ranks " << rankSetStr(ea.ranks) << " changed: "
+         << seqSummary(ea.seq) << " -> " << seqSummary(eb->seq);
+    else
+      continue;
+    out->entries.push_back(DiffEntry{gid, os.str()});
   }
   if (a.size() != b.size()) {
     std::ostringstream os;
@@ -72,14 +89,9 @@ std::string recordSummary(const CommRecord& r) {
 
 void diffLeafEntries(int gid, const std::vector<LeafEntry>& a,
                      const std::vector<LeafEntry>& b, TraceDiff* out) {
+  const auto sorted = sortedByRanks(b);
   for (const LeafEntry& ea : a) {
-    const LeafEntry* match = nullptr;
-    for (const LeafEntry& eb : b) {
-      if (ea.ranks == eb.ranks) {
-        match = &eb;
-        break;
-      }
-    }
+    const LeafEntry* match = findRanks(sorted, ea.ranks);
     if (match == nullptr) {
       out->entries.push_back(
           DiffEntry{gid, "event rank grouping changed (was " +

@@ -192,7 +192,7 @@ size_t writeTrace(const core::MergedCtt& merged, const std::string& path,
 /// Write a run's per-rank traces as a rank-trace directory — the
 /// paper's deployment model made durable:
 ///
-///   dir/meta.cyrd       str "CYRD" | uv version (1) | uv numRanks
+///   dir/meta.cyrd       str "CYRD" | uv version (2) | uv numRanks
 ///   dir/cst.cyst        flate(cst text)           — the shared tree
 ///   dir/rank-NNNNN.cypp flate(Ctt::serialize())   — one per finalized
 ///                                                   rank; lost ranks

@@ -107,8 +107,8 @@ int64_t rankSpan(const core::MergedCtt& m);
 
 /// The `cyptrace stats` totals without expanding a single event. Each
 /// CommRecord of a leaf entry stands for count x |entry ranks| events,
-/// each carrying core::eventNs of the record's duration and compute
-/// (what CompressedCursor emits), so the integer
+/// each carrying the truncated mean (RunningStats::mean) of the record's
+/// duration and compute (what CompressedCursor emits), so the integer
 /// sums equal trace::computeStats over the decompressed trace. Per-rank
 /// balance covers the ranks below rankSpan(m) that are not lost (a
 /// rank without rows counts as 0 events), averaged over that count.

@@ -627,10 +627,10 @@ Prediction simulateRecordedTimes(const core::MergedCtt& m) {
       for (const core::LeafEntry& e : m.leafEntries(g)) {
         if (!e.ranks.contains(r)) continue;
         for (const core::CommRecord& rec : e.records) {
-          // Decompressed events carry the record's rounded means, so
-          // count * rounded-mean reproduces the expanded sums exactly.
-          const uint64_t dur = core::eventNs(rec.duration);
-          const uint64_t cmp = core::eventNs(rec.compute);
+          // Decompressed events carry the record's truncated means, so
+          // count * mean reproduces the expanded sums exactly.
+          const uint64_t dur = rec.duration.mean();
+          const uint64_t cmp = rec.compute.mean();
           clock += rec.count * (cmp + dur);
           comm += rec.count * dur;
           p.totalEvents += rec.count;

@@ -75,7 +75,7 @@ Prediction simulateRecordedTimes(const trace::RawTrace& t);
 /// Compressed-domain timed replay: the per-rank sums are computed from
 /// CommRecord repeat counts in O(compressed size). Equals
 /// simulateRecordedTimes(decompressAll(m, ...)) exactly, because every
-/// decompressed event of a record carries the record's rounded mean
+/// decompressed event of a record carries the record's truncated mean
 /// times.
 Prediction simulateRecordedTimes(const core::MergedCtt& m);
 

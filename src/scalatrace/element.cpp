@@ -36,8 +36,8 @@ Element Element::fromEvent(const trace::Event& e, int32_t myRank) {
   el.reqSiteVals.append(e.reqId);
   if (e.matchedSource >= 0) el.matchedVals.append(e.matchedSource - myRank);
   el.occurrences = 1;
-  el.duration.add(static_cast<double>(e.durationNs));
-  el.compute.add(static_cast<double>(e.computeNs));
+  el.duration.add(e.durationNs);
+  el.compute.add(e.computeNs);
   return el;
 }
 
@@ -272,8 +272,8 @@ class Expander {
     ev.tag = static_cast<int32_t>(c.tag.next());
     ev.reqId = c.reqSite.next();
     if (c.hasMatched) ev.matchedSource = static_cast<int32_t>(c.matched.next()) + rank_;
-    ev.durationNs = static_cast<uint64_t>(e.duration.mean());
-    ev.computeNs = static_cast<uint64_t>(e.compute.mean());
+    ev.durationNs = e.duration.mean();
+    ev.computeNs = e.compute.mean();
     out_.push_back(ev);
   }
 

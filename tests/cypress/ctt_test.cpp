@@ -347,8 +347,8 @@ TEST(Ctt, HistogramTimeModeRecords) {
     for (const auto& rec : c.records(g)) {
       seen = true;
       EXPECT_EQ(rec.durationHist.count(), rec.count);
-      EXPECT_GT(rec.duration.mean(), 0.0);
-      EXPECT_GT(rec.compute.mean(), 0.0);
+      EXPECT_GT(rec.duration.mean(), 0u);
+      EXPECT_GT(rec.compute.mean(), 0u);
     }
   }
   EXPECT_TRUE(seen);

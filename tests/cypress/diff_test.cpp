@@ -1,11 +1,12 @@
 // Tests for the compressed-trace differ: identical traces, iteration
-// count drift, message size drift, rank regrouping, and structural
-// (different-program) mismatch.
+// count drift, message size drift, rank regrouping, structural
+// (different-program) mismatch, and one change among per-rank entries.
 #include "cypress/diff.hpp"
 
 #include <gtest/gtest.h>
 
 #include "driver/pipeline.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cypress::core {
 namespace {
@@ -87,6 +88,29 @@ TEST(TraceDiff, DifferentProgramsStopAtStructure) {
   TraceDiff d = diffTraces(a, b);
   EXPECT_FALSE(d.sameStructure);
   EXPECT_NE(d.toString().find("structure"), std::string::npos);
+}
+
+TEST(TraceDiff, OneRankChangeAmongPerRankEntries) {
+  // DT's receives have a distinct relative peer on every rank, so its
+  // leaf entries are per rank: a P=256 trace holds hundreds of entries
+  // per vertex, paired by lowest rank. Rank 77 posts a one-byte-larger
+  // receive, and that record is the one difference reported.
+  std::vector<std::unique_ptr<driver::RunOutput>> keep;
+  const std::string src = workloads::get("DT").source(256, 1);
+  std::string changed = src;
+  const std::string recv = "mpi_recv(left, 2000000, 0)";
+  ASSERT_NE(changed.find(recv), std::string::npos);
+  changed.replace(changed.find(recv), recv.size(),
+                  "mpi_recv(left, 2000000 + (rank == 77), 0)");
+  MergedCtt a = traceOf(src, 256, &keep);
+  MergedCtt b = traceOf(changed, 256, &keep);
+  TraceDiff d = diffTraces(a, b);
+  ASSERT_TRUE(d.sameStructure);
+  ASSERT_EQ(d.entries.size(), 1u) << d.toString();
+  EXPECT_EQ(d.entries[0].what,
+            "record 0 for ranks {77} changed: MPI_Recv x1 bytes=2000000 tag=0 -> "
+            "MPI_Recv x1 bytes=2000001 tag=0");
+  EXPECT_TRUE(diffTraces(b, b).identical());
 }
 
 }  // namespace

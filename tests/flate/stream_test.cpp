@@ -150,10 +150,9 @@ TEST(ByteWriterSink, SinkModeMatchesBufferedMode) {
     for (ByteWriter* t : {&buffered, &w}) {
       t->u8(7);
       t->u32fixed(0xdeadbeef);
-      t->u64fixed(1ull << 50);
       t->uv(300);
       t->sv(-12345);
-      t->f64(3.25);
+      t->uv128(static_cast<unsigned __int128>(1) << 100);
       t->str("hello");
       const std::vector<uint8_t> big(ByteWriter::kFlushBytes * 2 + 3, 0xab);
       t->raw(big);

@@ -1,8 +1,9 @@
 // Property-based end-to-end fuzzing: generate random (but deadlock-free)
 // structured MPI programs from a template grammar, run the full pipeline,
 // and require exact lossless round trips for both CYPRESS and ScalaTrace,
-// a successful SIM-MPI replay of the decompressed trace, and the same
-// `cyptrace stats` text from the compressed and the decompressed form.
+// a successful SIM-MPI replay of the decompressed trace, the same
+// `cyptrace stats` text from the compressed and the decompressed form,
+// and the same CYPC bytes from every merge plan and thread count.
 //
 // The generator composes only communication-safe templates (collectives,
 // ring exchanges, paired even/odd exchanges, non-blocking + waitall,
@@ -11,9 +12,13 @@
 // structure handling paths in one sweep.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
 
 #include "cypress/decompress.hpp"
+#include "cypress/merge_stream.hpp"
 #include "driver/pipeline.hpp"
 #include "query/engine.hpp"
 #include "replay/simulator.hpp"
@@ -286,6 +291,26 @@ TEST_P(FuzzPipeline, RandomProgramRoundTripsThroughEverything) {
     EXPECT_EQ(contentOnly(core::decompressRank(back, r)),
               contentOnly(core::decompressRank(merged, r)));
   }
+
+  // One CYPC per trace: a streaming merge in batches of two ranks (three
+  // spills and two reduction rounds) and a run on four threads write
+  // the same bytes.
+  core::StreamingMergeOptions mo;
+  mo.maxBatchRanks = 2;
+  mo.workDir = (std::filesystem::temp_directory_path() /
+                ("cyp_fuzz_merge." + std::to_string(getpid())))
+                   .string();
+  const auto streamed = core::streamingMerge(
+      opts.procs,
+      [&](int r) {
+        return std::optional<core::Ctt>(run.cypress[static_cast<size_t>(r)]->ctt());
+      },
+      *run.cst, mo);
+  EXPECT_EQ(streamed.merged.serialize(), bytes);
+  std::filesystem::remove_all(mo.workDir);
+  opts.threads = 4;
+  EXPECT_EQ(driver::mergeCypress(driver::runSource("fuzz", src, opts)).serialize(),
+            bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline, ::testing::Range<uint64_t>(0, 64));

@@ -9,8 +9,9 @@
 // map against trace::computeStats plus the dense P x P heat map.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
@@ -18,6 +19,7 @@
 #include "query/query.hpp"
 #include "simmpi/fault.hpp"
 #include "support/error.hpp"
+#include "support/io.hpp"
 #include "trace/matrix.hpp"
 #include "trace/stats.hpp"
 #include "workloads/workloads.hpp"
@@ -228,21 +230,59 @@ TEST(QueryEngine, HeatMapRejectsCellsOutsideTheSpan) {
   EXPECT_NE(heatMap(cells, 5).find('@'), std::string::npos);
 }
 
-TEST(QueryEngine, CorruptMeanTimeIsAnErrorNotACast) {
-  // The per-event time traceStats, the cursor and replay all use is the
-  // file's f64 mean, truncated; a mean no recorder writes must throw.
-  const auto statsWithMean = [](double mean) {
-    ByteWriter w;
-    w.uv(1);
-    for (double v : {mean, 0.0, mean, mean, mean}) w.f64(v);
-    ByteReader r(w.bytes());
+/// The message of the cypress::Error `f` throws ("" when it throws
+/// none).
+template <typename F>
+std::string errorOf(F f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(QueryEngine, CorruptTimeStatisticsAndOldFormatsAreErrors) {
+  // The per-event time traceStats, the cursor and replay all use is
+  // Σx / n of the file's integer statistics; a state no recorder writes
+  // must throw before anything derives a time from it.
+  const auto readStats = [](const std::vector<uint8_t>& bytes) {
+    ByteReader r(bytes);
     return RunningStats::deserialize(r);
   };
-  EXPECT_EQ(core::eventNs(statsWithMean(1000.9)), 1000u);
-  EXPECT_EQ(core::eventNs(RunningStats{}), 0u);
-  for (double bad : {std::nan(""), -1.0, 18446744073709551616.0,
-                     std::numeric_limits<double>::infinity()})
-    EXPECT_THROW(core::eventNs(statsWithMean(bad)), Error) << bad;
+  // n = 2, Σx = 10, then a Σx² varint of 20 bytes.
+  std::vector<uint8_t> overlong = {2, 10};
+  overlong.insert(overlong.end(), 19, 0x80);
+  overlong.push_back(0x01);
+  EXPECT_NE(errorOf([&] { readStats(overlong); }), "");
+  // n = 2, Σx = 10, Σx² = 49: n·Σx² < (Σx)², a negative variance.
+  EXPECT_NE(errorOf([&] { readStats({2, 10, 49}); }), "");
+  EXPECT_EQ(readStats({2, 10, 50}).mean(), 5u);  // two samples of 5
+
+  // A CYPC without the version after its magic, as older builds wrote.
+  const Compressed c = mergedFor("JACOBI", 4);
+  std::vector<uint8_t> old = c.m.serialize();
+  ASSERT_EQ(old[5], 2);  // str "CYPC" is 5 bytes, then uv version
+  old.erase(old.begin() + 5);
+  cst::Tree tree;
+  EXPECT_NE(errorOf([&] { core::MergedCtt::deserializeWithTree(old, tree); })
+                .find("version 2"),
+            std::string::npos);
+
+  // A version-1 rank directory.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("cyp_old_rankdir." + std::to_string(getpid())))
+          .string();
+  std::filesystem::create_directories(dir);
+  ByteWriter meta;
+  meta.str("CYRD");
+  meta.uv(1);
+  meta.uv(4);
+  io::writeFileAtomic(io::realIo(), dir + "/meta.cyrd", meta.bytes());
+  EXPECT_NE(errorOf([&] { driver::openRankTraceDir(dir); }).find("version 2"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(QueryEngine, MatrixAgreesWithSummaryTotals) {

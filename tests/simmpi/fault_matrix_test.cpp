@@ -2,11 +2,16 @@
 // asserting the robustness contract — every injected fault ends in a
 // recovered partial trace, a structured cypress::Error with per-rank
 // diagnostics, or a clean run. Never a hang (the ctest TIMEOUT is the
-// watchdog), never a crash, never a silently wrong trace.
+// watchdog), never a crash, never a silently wrong trace, and the
+// offline merge of a salvaged run's rank files equals its trace.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <unistd.h>
 
+#include <cstring>
+#include <filesystem>
+
+#include "cypress/merge_stream.hpp"
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
 #include "simmpi/fault.hpp"
@@ -50,6 +55,24 @@ void checkOutcome(const driver::RunOutput& run,
   const auto back = core::MergedCtt::deserializeWithTree(bytes, tree);
   EXPECT_EQ(back.lostRanks(), lost) << ctx;
   EXPECT_EQ(back.serialize(), bytes) << ctx;
+
+  // One CYPC per trace, salvaged or not: the survivors' rank files,
+  // merged offline in batches of three, give the bytes `run` writes.
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("cyp_fault_ranks." + std::to_string(getpid())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  driver::writeRankTraces(run, dir);
+  const driver::RankTraceDir rd = driver::openRankTraceDir(dir);
+  core::StreamingMergeOptions mo;
+  mo.maxBatchRanks = 3;
+  mo.workDir = dir + "/work";
+  EXPECT_EQ(core::streamingMerge(rd.numRanks, [&](int r) { return rd.load(r); },
+                                 *rd.cst, mo)
+                .merged.serialize(),
+            bytes)
+      << ctx;
+  std::filesystem::remove_all(dir);
 
   // The journal must be sealed with the same lost set, pass the strict
   // parser, and agree with the raw trace on every surviving rank.

@@ -11,14 +11,12 @@ TEST(ByteBuf, RoundTripsFixedWidthInts) {
   ByteWriter w;
   w.u8(0xAB);
   w.u32fixed(0xDEADBEEF);
-  w.u64fixed(0x0123456789ABCDEFull);
   auto bytes = w.take();
-  EXPECT_EQ(bytes.size(), 1u + 4u + 8u);
+  EXPECT_EQ(bytes.size(), 1u + 4u);
 
   ByteReader r(bytes);
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u32fixed(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64fixed(), 0x0123456789ABCDEFull);
   EXPECT_TRUE(r.atEnd());
 }
 
@@ -57,15 +55,31 @@ TEST(ByteBuf, ZigzagKeepsSmallMagnitudesSmall) {
   EXPECT_EQ(w.size(), 2u);
 }
 
-TEST(ByteBuf, RoundTripsDoublesExactly) {
-  const double cases[] = {0.0, -0.0, 1.5, -3.25e300, 5e-324, 1e9};
+TEST(ByteBuf, RoundTrips128BitVarints) {
+  const unsigned __int128 top = ~static_cast<unsigned __int128>(0);
+  const unsigned __int128 cases[] = {0, 127, 128, UINT64_MAX,
+                                     static_cast<unsigned __int128>(UINT64_MAX) + 1,
+                                     top >> 1, top};
   ByteWriter w;
-  for (double v : cases) w.f64(v);
+  for (unsigned __int128 v : cases) w.uv128(v);
   ByteReader r(w.bytes());
-  for (double v : cases) {
-    double got = r.f64();
-    EXPECT_EQ(std::memcmp(&got, &v, sizeof v), 0);
-  }
+  for (unsigned __int128 v : cases) EXPECT_TRUE(r.uv128() == v);
+  EXPECT_TRUE(r.atEnd());
+
+  // 2^128 - 1 takes 19 bytes, the last holding bits 126..127 only.
+  ByteWriter one;
+  one.uv128(top);
+  ASSERT_EQ(one.bytes().size(), 19u);
+  EXPECT_EQ(one.bytes().back(), 0x03);
+  std::vector<uint8_t> wide = one.bytes();
+  wide.back() = 0x07;  // bit 128
+  ByteReader rw(wide);
+  EXPECT_THROW(rw.uv128(), Error);
+  std::vector<uint8_t> longer = one.bytes();
+  longer.back() |= 0x80;  // a 20th byte
+  longer.push_back(0x00);
+  ByteReader rl(longer);
+  EXPECT_THROW(rl.uv128(), Error);
 }
 
 TEST(ByteBuf, RoundTripsStrings) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace cypress {
@@ -10,74 +11,92 @@ namespace {
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
+  EXPECT_EQ(s.mean(), 0u);
   EXPECT_EQ(s.stddev(), 0.0);
 }
 
 TEST(RunningStats, SingleValue) {
   RunningStats s;
-  s.add(42.0);
+  s.add(42);
   EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 42.0);
-  EXPECT_DOUBLE_EQ(s.max(), 42.0);
+  EXPECT_EQ(s.sum(), 42u);
+  EXPECT_EQ(s.mean(), 42u);
+  EXPECT_EQ(s.stddev(), 0.0);
 }
 
 TEST(RunningStats, KnownMeanAndVariance) {
   RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+  for (uint64_t v : {2, 4, 4, 4, 5, 5, 7, 9}) s.add(v);
+  EXPECT_EQ(s.mean(), 5u);
+  EXPECT_EQ(s.sum(), 40u);
   // Sample variance of the classic dataset: 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
+  EXPECT_EQ(s.variance(), 32.0 / 7.0);
+  // The mean truncates: 10 / 3 events.
+  RunningStats t;
+  for (uint64_t v : {3, 3, 4}) t.add(v);
+  EXPECT_EQ(t.mean(), 3u);
 }
 
 TEST(RunningStats, MergeMatchesSequential) {
+  // Integer moments: any split and any merge order give the state that
+  // adding every sample in sequence gives, exactly.
   Rng rng(7);
-  RunningStats all, a, b;
+  RunningStats all, a, b, c;
   for (int i = 0; i < 1000; ++i) {
-    double v = static_cast<double>(rng.range(0, 100000)) / 7.0;
+    const uint64_t v = rng.range(0, 100000);
     all.add(v);
-    (i % 3 == 0 ? a : b).add(v);
+    (i % 3 == 0 ? a : i % 3 == 1 ? b : c).add(v);
   }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
+  RunningStats left = a, right = c;
+  left.merge(b);
+  left.merge(c);  // (a ⊕ b) ⊕ c
+  right.merge(b);
+  right.merge(a);  // (c ⊕ b) ⊕ a
+  EXPECT_EQ(left, all);
+  EXPECT_EQ(right, all);
+  EXPECT_EQ(left.variance(), all.variance());
 }
 
 TEST(RunningStats, MergeWithEmptyIsIdentity) {
   RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
+  a.add(1);
+  a.add(3);
   RunningStats before = a;
   a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), before.mean());
+  EXPECT_EQ(a, before);
 
   RunningStats c;
   c.merge(a);
-  EXPECT_EQ(c.count(), 2u);
-  EXPECT_DOUBLE_EQ(c.mean(), 2.0);
+  EXPECT_EQ(c, a);
+  EXPECT_EQ(c.mean(), 2u);
+}
+
+TEST(RunningStats, SumOverflowIsAnError) {
+  RunningStats s;
+  s.add(UINT64_MAX);
+  EXPECT_THROW(s.add(1), Error);
+  RunningStats t;
+  t.add(UINT64_MAX - 1);
+  t.add(1);  // exactly 2^64 - 1: still fits
+  EXPECT_EQ(t.sum(), UINT64_MAX);
 }
 
 TEST(RunningStats, SerializeRoundTrip) {
-  RunningStats s;
-  for (int i = 1; i <= 10; ++i) s.add(i * 1.5);
+  // n = 0 writes n; n = 1 adds the sum; n >= 2 adds the sum of squares,
+  // here up to a Σx² beyond 64 bits.
+  for (int n : {0, 1, 2, 10}) {
+    RunningStats s;
+    for (int i = 1; i <= n; ++i)
+      s.add(i == 10 ? UINT64_MAX / 4 : static_cast<uint64_t>(i) * 1500);
+    ByteWriter w;
+    s.serialize(w);
+    ByteReader r(w.bytes());
+    EXPECT_EQ(RunningStats::deserialize(r), s) << n;
+    EXPECT_TRUE(r.atEnd());
+  }
   ByteWriter w;
-  s.serialize(w);
-  ByteReader r(w.bytes());
-  RunningStats t = RunningStats::deserialize(r);
-  EXPECT_EQ(t.count(), s.count());
-  EXPECT_DOUBLE_EQ(t.mean(), s.mean());
-  EXPECT_DOUBLE_EQ(t.variance(), s.variance());
-  EXPECT_DOUBLE_EQ(t.min(), s.min());
-  EXPECT_DOUBLE_EQ(t.max(), s.max());
+  RunningStats{}.serialize(w);
+  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{0}));
 }
 
 TEST(LogHistogram, BucketBoundaries) {
