@@ -25,7 +25,6 @@ LoopInfo LoopInfo::build(const ir::Function& f, const DomTree& dom) {
   }
 
   LoopInfo li;
-  li.blockLoop_.assign(static_cast<size_t>(n), -1);
 
   for (auto& [header, latches] : latchesByHeader) {
     Loop loop;
@@ -90,17 +89,6 @@ LoopInfo LoopInfo::build(const ir::Function& f, const DomTree& dom) {
       CYP_CHECK(depth <= static_cast<int>(numLoops) + 1, "loop nesting cycle");
     }
     li.loops_[a].depth = depth;
-  }
-
-  // Innermost loop per block: the containing loop with maximal depth.
-  for (size_t idx = 0; idx < numLoops; ++idx) {
-    for (int b : li.loops_[idx].blocks) {
-      int cur = li.blockLoop_[static_cast<size_t>(b)];
-      if (cur == -1 ||
-          li.loops_[static_cast<size_t>(cur)].depth < li.loops_[idx].depth) {
-        li.blockLoop_[static_cast<size_t>(b)] = static_cast<int>(idx);
-      }
-    }
   }
   return li;
 }

@@ -33,9 +33,6 @@ class LoopInfo {
 
   const std::vector<Loop>& loops() const { return loops_; }
 
-  /// Index into loops() of the innermost loop containing `block`, or -1.
-  int innermostAt(int block) const { return blockLoop_[static_cast<size_t>(block)]; }
-
   /// True when `block` is some loop's header.
   bool isHeader(int block) const;
 
@@ -44,7 +41,6 @@ class LoopInfo {
 
  private:
   std::vector<Loop> loops_;
-  std::vector<int> blockLoop_;
 };
 
 }  // namespace cypress::analysis

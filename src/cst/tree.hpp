@@ -67,8 +67,6 @@ struct Node {
     children.push_back(std::move(c));
     return children.back().get();
   }
-
-  bool isLeafKind() const { return kind == NodeKind::Comm; }
 };
 
 /// A finalized program CST with pre-order GIDs and per-node child lookup

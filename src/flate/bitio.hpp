@@ -36,8 +36,6 @@ class BitWriter {
     return std::move(out_);
   }
 
-  size_t bitCount() const { return out_.size() * 8 + static_cast<size_t>(fill_); }
-
  private:
   std::vector<uint8_t> out_;
   uint64_t acc_ = 0;

@@ -67,7 +67,6 @@ void FunctionBuilder::wait(Var request) {
   emit(Instr::mpi(MpiOp::Wait, {}, request.slot));
 }
 void FunctionBuilder::waitall() { emit(Instr::mpi(MpiOp::Waitall, {})); }
-void FunctionBuilder::waitany() { emit(Instr::mpi(MpiOp::Waitany, {})); }
 void FunctionBuilder::waitsome() { emit(Instr::mpi(MpiOp::Waitsome, {})); }
 void FunctionBuilder::barrier() { emit(Instr::mpi(MpiOp::Barrier, {})); }
 
@@ -81,12 +80,6 @@ void FunctionBuilder::reduce(E root, E bytes) {
 }
 void FunctionBuilder::allreduce(E bytes) {
   emit(Instr::mpi(MpiOp::Allreduce, exprList(std::move(bytes).take())));
-}
-void FunctionBuilder::allgather(E bytes) {
-  emit(Instr::mpi(MpiOp::Allgather, exprList(std::move(bytes).take())));
-}
-void FunctionBuilder::alltoall(E bytes) {
-  emit(Instr::mpi(MpiOp::Alltoall, exprList(std::move(bytes).take())));
 }
 void FunctionBuilder::gather(E root, E bytes) {
   emit(Instr::mpi(MpiOp::Gather,
@@ -109,19 +102,6 @@ Var FunctionBuilder::commSplit(const std::string& name, E color, E key) {
 
 void FunctionBuilder::allreduceOn(Var comm, E bytes) {
   Instr i = Instr::mpi(MpiOp::Allreduce, exprList(std::move(bytes).take()));
-  i.commExpr = Expr::var(comm.slot);
-  emit(std::move(i));
-}
-
-void FunctionBuilder::barrierOn(Var comm) {
-  Instr i = Instr::mpi(MpiOp::Barrier, {});
-  i.commExpr = Expr::var(comm.slot);
-  emit(std::move(i));
-}
-
-void FunctionBuilder::bcastOn(Var comm, E root, E bytes) {
-  Instr i = Instr::mpi(MpiOp::Bcast,
-                       exprList(std::move(root).take(), std::move(bytes).take()));
   i.commExpr = Expr::var(comm.slot);
   emit(std::move(i));
 }

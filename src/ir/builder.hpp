@@ -40,22 +40,17 @@ class FunctionBuilder {
   dsl::Var irecv(const std::string& reqName, dsl::E src, dsl::E bytes, dsl::E tag);
   void wait(dsl::Var request);
   void waitall();
-  void waitany();
   void waitsome();
   void barrier();
   void bcast(dsl::E root, dsl::E bytes);
   void reduce(dsl::E root, dsl::E bytes);
   void allreduce(dsl::E bytes);
-  void allgather(dsl::E bytes);
-  void alltoall(dsl::E bytes);
   void gather(dsl::E root, dsl::E bytes);
   void scatter(dsl::E root, dsl::E bytes);
   void scan(dsl::E bytes);
   dsl::Var commSplit(const std::string& name, dsl::E color, dsl::E key);
   /// Collective on an explicit communicator handle.
   void allreduceOn(dsl::Var comm, dsl::E bytes);
-  void barrierOn(dsl::Var comm);
-  void bcastOn(dsl::Var comm, dsl::E root, dsl::E bytes);
 
   void compute(dsl::E nanoseconds);
 

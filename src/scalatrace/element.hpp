@@ -32,6 +32,10 @@ using core::PeerRef;
 
 enum class Flavor : uint8_t { V1, V2 };
 
+/// STR1 / STM1 version, written after the magic. Version 2: elements
+/// carry exact integer time statistics (RunningStats).
+inline constexpr uint64_t kFormatVersion = 2;
+
 struct Element {
   bool isRsd = false;
 

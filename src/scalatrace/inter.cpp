@@ -131,6 +131,7 @@ uint64_t eventCountForRank(const MergedSeq& m, int rank) {
 
 void MergedSeq::serializeTo(ByteWriter& w) const {
   w.str("STM1");
+  w.uv(kFormatVersion);
   w.u8(flavor == Flavor::V1 ? 1 : 2);
   w.uv(elems.size());
   for (const MElement& e : elems) {
@@ -168,6 +169,7 @@ size_t MergedSeq::serializedBytes() const {
 MergedSeq MergedSeq::deserialize(std::span<const uint8_t> data) {
   ByteReader r(data);
   CYP_CHECK(r.str() == "STM1", "merged scalatrace trace: bad magic");
+  r.expectVersion(kFormatVersion, "merged scalatrace trace");
   const uint8_t flavorByte = r.u8();
   CYP_CHECK(flavorByte == 1 || flavorByte == 2,
             "merged scalatrace trace: bad flavor byte " << int(flavorByte));

@@ -113,6 +113,7 @@ std::vector<uint8_t> Recorder::serializeSequence(
     const std::vector<Element>& seq) {
   ByteWriter w;
   w.str("STR1");
+  w.uv(kFormatVersion);
   w.uv(seq.size());
   for (const Element& e : seq) e.serialize(w);
   return w.take();
@@ -122,6 +123,7 @@ std::vector<Element> Recorder::deserializeSequence(
     std::span<const uint8_t> data) {
   ByteReader r(data);
   CYP_CHECK(r.str() == "STR1", "scalatrace trace: bad magic");
+  r.expectVersion(kFormatVersion, "scalatrace trace");
   const uint64_t n = r.checkedCount(r.uv(), 3);
   r.chargeAlloc(n * sizeof(Element));
   std::vector<Element> out;

@@ -830,26 +830,4 @@ void Engine::failStalled(const std::vector<int>& active) const {
            << stallDump("per-rank state:", active));
 }
 
-std::string Engine::pendingDescription(int rank) const {
-  const RankState& r = rs(rank);
-  std::ostringstream os;
-  os << "rank " << rank << ": ";
-  switch (r.pending.kind) {
-    case PendingKind::None: os << "runnable"; break;
-    case PendingKind::Recv:
-      os << "blocked in MPI_Recv(src=" << r.pending.desc.peer
-         << ", tag=" << r.pending.desc.tag << ")";
-      break;
-    case PendingKind::Wait: os << "blocked in MPI_Wait"; break;
-    case PendingKind::Waitall: os << "blocked in MPI_Waitall"; break;
-    case PendingKind::Waitany: os << "blocked in MPI_Waitany"; break;
-    case PendingKind::Waitsome: os << "blocked in MPI_Waitsome"; break;
-    case PendingKind::Collective:
-      os << "blocked in " << ir::mpiOpName(r.pending.desc.op) << " (seq "
-         << r.pending.reqIdx << ")";
-      break;
-  }
-  return os.str();
-}
-
 }  // namespace cypress::simmpi

@@ -132,11 +132,6 @@ class Engine {
   /// scheduler's deadlock detection).
   bool takeProgressFlag();
 
-  /// Diagnostic snapshot of a blocked rank's pending condition.
-  std::string pendingDescription(int rank) const;
-
-  /// True when the fault plan killed this rank.
-  bool rankDead(int rank) const { return rs(rank).dead; }
   /// Ranks killed so far, ascending.
   std::vector<int> deadRanks() const;
   /// Number of MPI calls the rank has issued (the killing call included).

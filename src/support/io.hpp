@@ -134,11 +134,6 @@ class FaultyIoBackend final : public IoBackend {
   explicit FaultyIoBackend(IoBackend& base,
                            std::vector<IoFaultSpec> plan = {});
 
-  void addFault(const IoFaultSpec& f) {
-    plan_.push_back(f);
-    seen_.push_back(0);
-  }
-
   std::unique_ptr<IoFile> openWrite(const std::string& path,
                                     bool append = false) override;
   std::vector<uint8_t> readAll(const std::string& path) override;

@@ -196,6 +196,7 @@ TEST(ScalaTrace, SerializeDeserializeElements) {
   auto bytes = run.recorders[0]->serialize();
   ByteReader r(bytes);
   EXPECT_EQ(r.str(), "STR1");
+  EXPECT_EQ(r.uv(), scalatrace::kFormatVersion);
   const uint64_t n = r.uv();
   std::vector<Element> back;
   for (uint64_t i = 0; i < n; ++i) back.push_back(Element::deserialize(r));
@@ -214,6 +215,32 @@ TEST(ScalaTraceInter, SpmdRanksMergeToOneEntryPerElement) {
   MergedSeq m = mergeSequences(seqs, Flavor::V1);
   ASSERT_EQ(m.elems.size(), 1u);
   EXPECT_EQ(m.elems[0].ranks.size(), 8u);
+}
+
+TEST(ScalaTraceInter, TracesWithoutTheVersionAreRejectedNamingIt) {
+  // STR1 / STM1 files written before the integer time statistics have
+  // no version after the magic (a 5-byte length-prefixed string).
+  auto run = runWith(R"(
+    func main() {
+      for (var k = 0; k < 10; k = k + 1) { mpi_allreduce(256); }
+    })", 2, Flavor::V1);
+  std::vector<const std::vector<Element>*> seqs;
+  for (const auto& r : run.recorders) seqs.push_back(&r->sequence());
+  const auto expectVersionError = [](std::vector<uint8_t> bytes, auto decode) {
+    ASSERT_EQ(bytes[5], kFormatVersion);
+    bytes.erase(bytes.begin() + 5);
+    try {
+      decode(bytes);
+      FAIL() << "an unversioned trace was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("expected version 2"), std::string::npos)
+          << e.what();
+    }
+  };
+  expectVersionError(run.recorders[0]->serialize(),
+                     [](const auto& b) { Recorder::deserializeSequence(b); });
+  expectVersionError(mergeSequences(seqs, Flavor::V1).serialize(),
+                     [](const auto& b) { MergedSeq::deserialize(b); });
 }
 
 TEST(ScalaTraceInter, V1MergeLosslessPerRank) {

@@ -233,26 +233,34 @@ TEST(Hardening, RawTraceHugeCountPrefixDoesNotAllocate) {
 TEST(Hardening, CypressHugeLeafCountDoesNotAllocate) {
   const auto run = runAllTools("JACOBI", 8);
   auto bytes = driver::mergeCypress(run).serialize();
-  // Re-parse the header to find the first post-CST count and bump it.
+  // Re-parse the header up to the node count, then give the root vertex
+  // no loop or branch entries and an implausible leaf-entry count.
   ByteReader r(bytes);
   ASSERT_EQ(r.str(), "CYPC");
-  const uint64_t cstLen = r.uv();
-  r.raw(cstLen);
-  const size_t nodeCountPos = r.pos();
+  ASSERT_EQ(r.uv(), 2u);  // format version
+  r.raw(r.uv());          // embedded CST
+  RankSet::deserialize(r);  // lost ranks
+  r.uv();                 // node count
   ByteWriter w;
-  w.raw(std::span<const uint8_t>(bytes.data(), nodeCountPos));
-  w.uv(1'000'000'000'000ull);  // implausible node count
-  EXPECT_THROW(
-      {
-        cst::Tree tree;
-        core::MergedCtt::deserializeWithTree(w.take(), tree);
-      },
-      Error);
+  w.raw(std::span<const uint8_t>(bytes.data(), r.pos()));
+  w.uv(0);  // root: no loop-count entries
+  w.uv(0);  // root: no branch entries
+  w.uv(1'000'000'000'000ull);  // root: implausible leaf-entry count
+  try {
+    cst::Tree tree;
+    core::MergedCtt::deserializeWithTree(w.take(), tree);
+    FAIL() << "a huge leaf-entry count was accepted";
+  } catch (const Error& e) {
+    // Rejected by the count guard, not by running out of input.
+    EXPECT_NE(std::string(e.what()).find("implies more than"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Hardening, ScalaTraceRsdNestingBomb) {
   ByteWriter w;
   w.str("STR1");
+  w.uv(scalatrace::kFormatVersion);
   w.uv(1);
   for (int i = 0; i < 400; ++i) {
     w.u8(1);  // isRsd
