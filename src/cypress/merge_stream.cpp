@@ -1,6 +1,5 @@
 #include "cypress/merge_stream.hpp"
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -10,17 +9,6 @@
 #include "support/error.hpp"
 
 namespace cypress::core {
-
-namespace {
-
-/// One reduction operand: a durable spill file (relative name) or —
-/// only after a degraded reduction spill — an in-memory tree.
-struct Slot {
-  std::string file;
-  std::shared_ptr<MergedCtt> mem;
-};
-
-}  // namespace
 
 StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
                                     const cst::Tree& cst,
@@ -32,23 +20,15 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
   const std::string manifestPath = opts.workDir + "/merge.cym";
   auto abs = [&](const std::string& rel) { return opts.workDir + "/" + rel; };
 
-  MergePlanKey key;
-  key.numRanks = static_cast<uint64_t>(numRanks);
-  key.budgetBytes = opts.budgetBytes;
-  key.maxBatchRanks = opts.maxBatchRanks;
-
   std::optional<ManifestRecovery> rec;
   if (opts.resume) {
     rec = recoverManifestFile(io, manifestPath);
     if (rec)
-      CYP_CHECK(rec->key == key,
-                "streamingMerge: resume plan mismatch (manifest has "
-                    << rec->key.numRanks << " ranks / budget "
-                    << rec->key.budgetBytes << " / batch cap "
-                    << rec->key.maxBatchRanks << "; caller asked for "
-                    << key.numRanks << " / " << key.budgetBytes << " / "
-                    << key.maxBatchRanks
-                    << ") — resume must repeat the interrupted invocation");
+      CYP_CHECK(rec->numRanks == static_cast<uint64_t>(numRanks),
+                "streamingMerge: resume rank count mismatch (manifest has "
+                    << rec->numRanks << " ranks, caller asked for "
+                    << numRanks
+                    << ") — resume must merge the interrupted rank directory");
   }
 
   // The manifest is the resume protocol, not the result: with `degrade`
@@ -57,13 +37,14 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
   std::unique_ptr<ManifestWriter> writer;
   bool manifestAlive = true;
   try {
-    writer = std::make_unique<ManifestWriter>(io, manifestPath, key,
-                                              opts.resume);
+    writer = std::make_unique<ManifestWriter>(
+        io, manifestPath, static_cast<uint64_t>(numRanks), opts.resume);
   } catch (const io::IoError&) {
     if (!opts.degrade) throw;
     manifestAlive = false;
   }
 
+  // res.merged is the running total every batch folds into.
   StreamingMergeResult res{MergedCtt(cst), 0, 0, 0, 0, RankSet{}};
   std::vector<std::string> spillFiles;  // everything to clean up on success
 
@@ -82,24 +63,24 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
       std::raise(SIGKILL);
   };
 
-  // ---- Phase A: leaf batches ------------------------------------------
-  // Batch boundaries are a pure function of (plan key, rank CTT stream):
-  // close when the accumulator crosses budget/4 or the rank cap. The /4
-  // headroom leaves room for the reduction phase's two loaded operands
-  // plus serialization buffers inside the same overall budget.
+  // A live batch closes when its accumulator crosses budget/4 or the
+  // rank cap, so the total plus one batch stay inside the budget.
   const uint64_t leafBudget = opts.budgetBytes ? opts.budgetBytes / 4 : 0;
 
-  struct BatchResult {
+  struct Batch {
     std::optional<MergedCtt> acc;
     int count = 0;
     RankSet lost;
   };
-  auto computeBatch = [&](int firstRank) {
-    BatchResult b;
-    int r = firstRank;
-    while (r < numRanks) {
-      if (opts.maxBatchRanks != 0 &&
-          static_cast<uint64_t>(b.count) >= opts.maxBatchRanks)
+  // `exactCount` > 0 recomputes a checkpointed batch of exactly that
+  // many ranks; 0 cuts a live batch at the budget or the cap.
+  auto computeBatch = [&](int firstRank, int exactCount) {
+    Batch b;
+    for (int r = firstRank; r < numRanks; ++r) {
+      if (exactCount != 0 ? b.count == exactCount
+                          : opts.maxBatchRanks != 0 &&
+                                static_cast<uint64_t>(b.count) >=
+                                    opts.maxBatchRanks)
         break;
       std::optional<Ctt> ctt = source(r);
       if (ctt) {
@@ -110,62 +91,57 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
         b.lost.insert(r);
       }
       ++b.count;
-      ++r;
-      if (b.acc && leafBudget != 0 && b.acc->memoryBytes() > leafBudget) break;
+      if (exactCount == 0 && b.acc && leafBudget != 0 &&
+          b.acc->memoryBytes() > leafBudget)
+        break;
     }
     return b;
   };
-  // Serialize a tree straight into a spill sink: the CYPC stream goes
-  // to disk in chunk-sized slices and never exists as one buffer —
-  // this is what keeps Phase A/B memory at the batch budget instead of
-  // budget + serialized size. The seal totals feed checkpoint records.
-  auto streamSpill = [&](const MergedCtt& m, const std::string& path) {
+  // Serialize a batch straight into a spill sink: the CYPC stream goes
+  // to disk in chunk-sized slices and never exists as one buffer. The
+  // seal totals feed the BATCH record.
+  auto spillBatch = [&](const Batch& b, const std::string& path) {
     SpillSink sink(io, path);
     ByteWriter w(sink);
-    m.serializeTo(w);
+    if (b.acc) b.acc->serializeTo(w);
+    else MergedCtt(cst).serializeTo(w);
     w.flush();
     return sink.seal();
   };
-  auto streamBatchSpill = [&](BatchResult& b, const std::string& path) {
-    if (b.acc) return streamSpill(*b.acc, path);
-    return streamSpill(MergedCtt(cst), path);
+  auto fold = [&](Batch& b) {
+    if (b.acc) res.merged.absorb(std::move(*b.acc));
   };
 
   std::vector<BatchRecord> recBatches;
   if (rec) recBatches = rec->batches;
 
-  RankSet lostAll;           // every rank absent from the final tree
-  std::vector<Slot> slots;   // surviving batches, in batch order
+  RankSet lostAll;  // every rank absent from the final tree
   uint64_t batchIndex = 0;
   int rank = 0;
   while (rank < numRanks) {
     if (batchIndex < recBatches.size()) {
-      // Checkpointed batch: reuse its durable spill, or — if the file
-      // was damaged behind the checkpoint — recompute it; determinism
-      // guarantees the recomputation matches the recorded bytes.
+      // Checkpointed batch (the manifest reader guarantees the batches
+      // tile the ranks): fold its durable spill, or — if the file was
+      // damaged behind the checkpoint — recompute exactly its ranks.
+      // The batch is a union of equivalence classes, so the
+      // recomputation matches the recorded bytes under any budget.
       const BatchRecord& b = recBatches[batchIndex];
-      CYP_CHECK(b.firstRank == rank,
-                "manifest: batch " << batchIndex << " starts at rank "
-                                   << b.firstRank << ", expected " << rank);
       lostAll.unite(b.lostRanks);
       if (b.file.empty()) {
         res.droppedRanks.unite(b.lostRanks);
-      } else if (spillIntact(io, abs(b.file), b.fileBytes, b.fileCrc)) {
-        slots.push_back({b.file, nullptr});
+      } else if (const auto payload = readIntactSpill(
+                     io, abs(b.file), b.fileBytes, b.fileCrc)) {
+        res.merged.absorb(MergedCtt::deserialize(*payload, cst));
         spillFiles.push_back(b.file);
       } else {
-        BatchResult fresh = computeBatch(rank);
-        CYP_CHECK(fresh.count == b.rankCount,
-                  "manifest: batch " << batchIndex << " re-derives "
-                                     << fresh.count << " ranks, checkpoint has "
-                                     << b.rankCount);
-        const SpillSink::Totals tot = streamBatchSpill(fresh, abs(b.file));
+        Batch fresh = computeBatch(rank, b.rankCount);
+        const SpillSink::Totals tot = spillBatch(fresh, abs(b.file));
         CYP_CHECK(tot.bytes == b.fileBytes && tot.crc == b.fileCrc,
                   "manifest: recomputed batch "
                       << batchIndex
                       << " diverges from its checkpoint — the rank traces "
                       << "changed since the interrupted run");
-        slots.push_back({b.file, nullptr});
+        fold(fresh);
         spillFiles.push_back(b.file);
       }
       rank += b.rankCount;
@@ -174,7 +150,7 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
       continue;
     }
 
-    BatchResult b = computeBatch(rank);
+    Batch b = computeBatch(rank, 0);
     BatchRecord entry;
     entry.batchIndex = batchIndex;
     entry.firstRank = rank;
@@ -183,7 +159,7 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
     entry.lostRanks = b.lost;
     bool spilled = true;
     try {
-      const SpillSink::Totals tot = streamBatchSpill(b, abs(entry.file));
+      const SpillSink::Totals tot = spillBatch(b, abs(entry.file));
       entry.fileBytes = tot.bytes;
       entry.fileCrc = tot.crc;
     } catch (const io::IoError&) {
@@ -191,12 +167,11 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
       spilled = false;
     }
     if (spilled) {
-      slots.push_back({entry.file, nullptr});
       spillFiles.push_back(entry.file);
     } else {
       // Graceful degradation: this batch's ranks are lost, the merge
       // lives on. The empty-file record makes the drop durable so a
-      // later resume does not resurrect half of the plan.
+      // later resume does not resurrect the dropped ranks.
       try {
         io.remove(abs(entry.file));
       } catch (const Error&) {
@@ -209,97 +184,33 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
     }
     lostAll.unite(entry.lostRanks);
     checkpoint([&] { writer->appendBatch(entry); });
+    if (spilled) fold(b);
     rank += b.count;
     ++batchIndex;
   }
   res.batches = batchIndex;
-
-  // ---- Phase B: binary-tree reduction over the spills -----------------
-  // Fixed pairing (2p, 2p+1), odd slot carried — the same deterministic
-  // shape mergeAll uses, so the result is independent of where crashes
-  // or resumes landed.
-  std::map<std::pair<uint64_t, uint64_t>, MergeRecord> recMerges;
-  if (rec)
-    for (const MergeRecord& m : rec->merges)
-      recMerges[{m.round, m.pairIndex}] = m;
-
-  auto loadSlot = [&](Slot& s) {
-    if (s.mem) return std::move(*s.mem);
-    return MergedCtt::deserialize(readSpill(io, abs(s.file)), cst);
-  };
-
-  uint64_t round = 0;
-  while (slots.size() > 1) {
-    std::vector<Slot> next;
-    const size_t npairs = slots.size() / 2;
-    for (size_t p = 0; p < npairs; ++p) {
-      const std::string outFile =
-          "r" + std::to_string(round) + "-p" + std::to_string(p) + ".cysp";
-      Slot a = std::move(slots[2 * p]);
-      Slot b = std::move(slots[2 * p + 1]);
-
-      const auto it = recMerges.find({round, p});
-      if (it != recMerges.end()) {
-        const MergeRecord& m = it->second;
-        CYP_CHECK(m.file == outFile,
-                  "manifest: merge checkpoint names " << m.file << ", plan says "
-                                                      << outFile);
-        if (!spillIntact(io, abs(m.file), m.fileBytes, m.fileCrc)) {
-          MergedCtt left = loadSlot(a);
-          left.absorb(loadSlot(b));
-          const SpillSink::Totals tot = streamSpill(left, abs(m.file));
-          CYP_CHECK(tot.bytes == m.fileBytes && tot.crc == m.fileCrc,
-                    "manifest: recomputed merge r" << round << "-p" << p
-                                                   << " diverges from its "
-                                                   << "checkpoint");
-        }
-        next.push_back({m.file, nullptr});
-        spillFiles.push_back(m.file);
-        ++res.stepsResumed;
-        continue;
-      }
-
-      MergedCtt left = loadSlot(a);
-      left.absorb(loadSlot(b));
-      MergeRecord m;
-      m.round = round;
-      m.pairIndex = p;
-      m.file = outFile;
-      bool spilled = true;
-      try {
-        const SpillSink::Totals tot = streamSpill(left, abs(outFile));
-        m.fileBytes = tot.bytes;
-        m.fileCrc = tot.crc;
-      } catch (const io::IoError&) {
-        if (!opts.degrade) throw;
-        spilled = false;
-      }
-      if (spilled) {
-        checkpoint([&] { writer->appendMerge(m); });
-        next.push_back({outFile, nullptr});
-        spillFiles.push_back(outFile);
-      } else {
-        // Disk is failing: keep this intermediate in RAM and finish the
-        // merge best-effort — correctness outranks the memory bound
-        // once the spill path is gone.
-        try {
-          io.remove(abs(outFile));
-        } catch (const Error&) {
-        }
-        next.push_back({"", std::make_shared<MergedCtt>(std::move(left))});
-      }
-    }
-    if (slots.size() % 2 != 0) next.push_back(std::move(slots.back()));
-    slots = std::move(next);
-    ++round;
-  }
-  res.reductionRounds = round;
-
-  MergedCtt merged = slots.empty() ? MergedCtt(cst) : loadSlot(slots.front());
-  merged.markLost(lostAll);
-  res.merged = std::move(merged);
+  res.merged.markLost(lostAll);
 
   // ---- FINAL: atomic write of the merged CYPC -------------------------
+  // Stream the merged CYPC through the atomic writer; the counting sink
+  // supplies the checkpoint totals without a second pass. A repair
+  // checks them against `expect` BEFORE the rename, so a divergent
+  // recomputation never reaches the final name.
+  auto writeFinal = [&](const FinalRecord* expect) {
+    FinalRecord f;
+    f.outPath = opts.outPath;
+    io::AtomicFileWriter out(io, opts.outPath);
+    flate::Crc32Sink counted(&out);
+    ByteWriter w(counted);
+    res.merged.serializeTo(w);
+    w.flush();
+    f.bytes = counted.bytes();
+    f.crc = counted.crc();
+    CYP_CHECK(!expect || (f.bytes == expect->bytes && f.crc == expect->crc),
+              "manifest: final artifact diverges from its checkpoint");
+    out.commit();
+    return f;
+  };
   if (!opts.outPath.empty()) {
     if (rec && rec->final) {
       const FinalRecord& f = *rec->final;
@@ -315,37 +226,12 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
         } catch (const Error&) {
         }
       }
-      if (!intact) {
-        // The checkpoint outlived the artifact (e.g. a torn rename):
-        // verify-and-repair from the deterministic result. The rewrite
-        // streams into the tmp file and the totals are checked against
-        // the checkpoint BEFORE the rename — a divergent recomputation
-        // never reaches the final name.
-        io::AtomicFileWriter out(io, opts.outPath);
-        flate::Crc32Sink counted(&out);
-        ByteWriter w(counted);
-        res.merged.serializeTo(w);
-        w.flush();
-        CYP_CHECK(counted.bytes() == f.bytes && counted.crc() == f.crc,
-                  "manifest: final artifact diverges from its checkpoint");
-        out.commit();
-      }
+      // The checkpoint outlived the artifact (e.g. a torn rename):
+      // verify-and-repair from the deterministic result.
+      if (!intact) writeFinal(&f);
       ++res.stepsResumed;
     } else {
-      // Stream the merged CYPC through the atomic writer; the counting
-      // sink supplies the checkpoint totals without a second pass.
-      FinalRecord f;
-      f.outPath = opts.outPath;
-      {
-        io::AtomicFileWriter out(io, opts.outPath);
-        flate::Crc32Sink counted(&out);
-        ByteWriter w(counted);
-        res.merged.serializeTo(w);
-        w.flush();
-        f.bytes = counted.bytes();
-        f.crc = counted.crc();
-        out.commit();
-      }
+      const FinalRecord f = writeFinal(nullptr);
       checkpoint([&] { writer->appendFinal(f); });
     }
   }

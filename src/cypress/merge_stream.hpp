@@ -1,34 +1,33 @@
-// Memory-bounded, crash-resumable hierarchical streaming merge.
+// Memory-bounded, crash-resumable streaming merge.
 //
 // mergeAll (cypress/merge.hpp) holds every rank's CTT in RAM at once —
 // fine at P=64, fatal at the P=4K–64K scale the paper's constant-size
-// claim is about. streamingMerge instead:
+// claim is about. streamingMerge instead pulls rank CTTs one at a time
+// from a source callback and absorbs them into a batch accumulator
+// until it exceeds the batch budget (or a fixed rank cap). Each batch
+// is spilled to disk as a sealed CYSP file, checkpointed in the CYM1
+// manifest, and then folded into one running total. Peak memory is the
+// total plus one batch plus one incoming CTT; the total is the merged
+// trace itself, whose size the paper shows is near-constant in P.
 //
-//   phase A (leaf batches): pull rank CTTs one at a time from a source
-//     callback, absorbing into an in-RAM accumulator until it exceeds
-//     the batch budget (or a fixed rank cap), then spill the batch to
-//     disk as a sealed CYSP file and checkpoint it in the CYM1
-//     manifest. Peak memory is one accumulator + one incoming CTT,
-//     independent of P.
-//   phase B (reduction): binary-tree reduce the spill files with fixed
-//     pairing, loading two at a time, spilling and checkpointing each
-//     intermediate. Peak memory is two partial merges.
+// absorb is a union of equivalence classes, so the result does not
+// depend on where batches were cut: every budget and rank cap writes
+// the same bytes as mergeAll. A clean run never reads a spill back;
+// the spills exist so a resume need not recompute finished batches.
 //
 // Every durable step (spill + manifest segment) survives kill -9 and
-// injected disk faults: `resume` replays the manifest, verifies each
-// recorded spill (seal + length + CRC), redoes anything not fully
-// durable, and — because batching and pairing are pure functions of
-// (numRanks, budget, maxBatchRanks) and the rank stream — produces a
-// final CYPC byte-identical to an uninterrupted run.
+// injected disk faults: `resume` replays the manifest, folds each
+// recorded spill that is still intact (seal + length + CRC), recomputes
+// exactly the recorded ranks of a damaged one, continues with the next
+// batch, and produces a final CYPC byte-identical to an uninterrupted
+// run — under the same or a different budget and cap.
 //
-// Graceful degradation (`degrade`): when a *batch spill* dies on a
-// disk fault, the batch's ranks are annotated as lost (the PR 2
-// lostRanks mechanism) and the merge continues — a valid partial trace
-// beats no trace once the disk is known-bad. Reduction-spill faults
-// fall back to keeping that intermediate in RAM (correctness over the
-// memory bound; the budget is best-effort once the disk failed).
-// Without `degrade`, the first disk fault propagates as io::IoError and
-// the on-disk state remains resumable.
+// Graceful degradation (`degrade`): when a batch spill dies on a disk
+// fault, the batch's ranks are annotated as lost (the lostRanks
+// mechanism) and the merge continues — a valid partial trace beats no
+// trace once the disk is known-bad. Without `degrade`, the first disk
+// fault propagates as io::IoError and the on-disk state remains
+// resumable.
 #pragma once
 
 #include <csignal>
@@ -44,22 +43,25 @@
 namespace cypress::core {
 
 struct StreamingMergeOptions {
-  /// Target peak bytes of merged-CTT state held in RAM. Leaf batches
-  /// close once the accumulator crosses budgetBytes/4 (reduction holds
-  /// two loaded intermediates plus serialization buffers, hence the
-  /// headroom divisor). 0 = unbounded batches (degenerates to one
-  /// batch, i.e. plain mergeAll semantics with a spill at the end).
+  /// Target bytes of one batch of merged-CTT state held in RAM beside
+  /// the running total. A batch closes once its accumulator crosses
+  /// budgetBytes/4, so peak merged state is the total plus at most
+  /// budgetBytes/4 (plus the CTT that crossed it). 0 = unbounded
+  /// batches (degenerates to one batch, i.e. plain mergeAll semantics
+  /// with a spill at the end). Does not change the result.
   uint64_t budgetBytes = 256ull << 20;
-  /// Hard cap on ranks per leaf batch (0 = budget-driven only). Tests
-  /// use small caps to force deep reduction trees at tiny P.
+  /// Hard cap on ranks per batch (0 = budget-driven only). Tests use
+  /// small caps to force many batches at tiny P. Does not change the
+  /// result.
   uint64_t maxBatchRanks = 0;
   /// Directory for spill files + the checkpoint manifest. Created if
   /// missing. Removed contents on success unless keepWorkDir.
   std::string workDir;
   /// Null = the process-wide real backend.
   io::IoBackend* io = nullptr;
-  /// Resume an interrupted merge from workDir's manifest. Without this
-  /// flag an existing manifest is refused (matching the ledger).
+  /// Resume an interrupted merge from workDir's manifest (same rank
+  /// count; budget and cap may differ). Without this flag an existing
+  /// manifest is refused (matching the ledger).
   bool resume = false;
   /// Lost-ranks degradation instead of failing on disk faults.
   bool degrade = false;
@@ -84,7 +86,9 @@ using CttSource = std::function<std::optional<Ctt>(int rank)>;
 
 struct StreamingMergeResult {
   MergedCtt merged;
-  uint64_t batches = 0;        ///< leaf batches in the plan
+  uint64_t batches = 0;        ///< batches in the plan
+  /// Always 0: batches fold into one running total. Kept only because
+  /// the perfbench harness (perfbench/traced.cpp) still reads it.
   uint64_t reductionRounds = 0;
   uint64_t stepsExecuted = 0;  ///< durable steps run live this call
   uint64_t stepsResumed = 0;   ///< steps satisfied from the checkpoint
@@ -94,8 +98,8 @@ struct StreamingMergeResult {
 /// Merge `numRanks` per-process CTTs (all sharing `cst`) into one
 /// MergedCtt under the options' memory budget. See file comment for
 /// the crash/resume contract. Throws io::IoError on disk faults
-/// (unless opts.degrade) and cypress::Error on plan violations
-/// (mismatched resume parameters, corrupt foreign manifest).
+/// (unless opts.degrade) and cypress::Error on resume violations
+/// (a different rank count or output path, a corrupt foreign manifest).
 StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
                                     const cst::Tree& cst,
                                     const StreamingMergeOptions& opts);

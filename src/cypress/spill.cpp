@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <sstream>
 
 #include "flate/flate.hpp"
 #include "support/error.hpp"
@@ -12,20 +13,19 @@ namespace cypress::core {
 namespace {
 
 constexpr uint64_t kSpillVersion = 1;
-constexpr uint64_t kManifestVersion = 1;
+constexpr uint64_t kManifestVersion = 2;
 constexpr size_t kSpillChunkBytes = 256u << 10;
 
 constexpr uint8_t kChunkSegment = 0;
 constexpr uint8_t kSealSegment = 1;
 
 constexpr uint8_t kBatchSegment = 0;
-constexpr uint8_t kMergeSegment = 1;
-constexpr uint8_t kFinalSegment = 2;
+constexpr uint8_t kFinalSegment = 1;
 
 constexpr trace::SegmentLogFormat kSpillFormat{"spill", "CYSP", 1,
                                                kSealSegment};
-// Header fields: version | numRanks | budgetBytes | maxBatchRanks.
-constexpr trace::SegmentLogFormat kManifestFormat{"manifest", "CYM1", 4,
+// Header fields: version | numRanks.
+constexpr trace::SegmentLogFormat kManifestFormat{"manifest", "CYM1", 2,
                                                   kFinalSegment};
 
 }  // namespace
@@ -122,22 +122,24 @@ std::vector<uint8_t> readSpill(io::IoBackend& io, const std::string& path) {
   return parseSpill(io.readAll(path));
 }
 
-bool spillIntact(io::IoBackend& io, const std::string& path,
-                 uint64_t expectBytes, uint32_t expectCrc) {
-  if (!io.exists(path)) return false;
+std::optional<std::vector<uint8_t>> readIntactSpill(io::IoBackend& io,
+                                                    const std::string& path,
+                                                    uint64_t expectBytes,
+                                                    uint32_t expectCrc) {
+  if (!io.exists(path)) return std::nullopt;
   try {
-    const auto data = readSpill(io, path);
-    return data.size() == expectBytes && flate::crc32(data) == expectCrc;
+    std::vector<uint8_t> data = readSpill(io, path);
+    if (data.size() == expectBytes && flate::crc32(data) == expectCrc)
+      return data;
   } catch (const Error&) {
-    return false;
   }
+  return std::nullopt;
 }
 
 ManifestWriter::ManifestWriter(io::IoBackend& io, const std::string& path,
-                               const MergePlanKey& key, bool resume)
+                               uint64_t numRanks, bool resume)
     : log_(io, path, kManifestFormat,
-           std::array<uint64_t, 4>{kManifestVersion, key.numRanks,
-                                   key.budgetBytes, key.maxBatchRanks},
+           std::array<uint64_t, 2>{kManifestVersion, numRanks},
            resume,
            "pass --resume to continue the interrupted merge or remove its "
            "work directory to start fresh") {}
@@ -152,16 +154,6 @@ void ManifestWriter::appendBatch(const BatchRecord& b) {
   p.u32fixed(b.fileCrc);
   b.lostRanks.serialize(p);
   log_.append(kBatchSegment, p);
-}
-
-void ManifestWriter::appendMerge(const MergeRecord& m) {
-  ByteWriter p;
-  p.uv(m.round);
-  p.uv(m.pairIndex);
-  p.str(m.file);
-  p.uv(m.fileBytes);
-  p.u32fixed(m.fileCrc);
-  log_.append(kMergeSegment, p);
 }
 
 void ManifestWriter::appendFinal(const FinalRecord& f) {
@@ -179,40 +171,46 @@ ManifestRecovery readManifest(std::span<const uint8_t> data, bool strict) {
   const std::vector<uint64_t> header =
       trace::readSegmentHeader(r, kManifestFormat);
   CYP_CHECK(header[0] == kManifestVersion,
-            "manifest: unsupported version " << header[0]);
+            "manifest: unsupported format version "
+                << header[0] << ", expected version " << kManifestVersion);
   ManifestRecovery out;
-  out.key.numRanks = header[1];
-  out.key.budgetBytes = header[2];
-  out.key.maxBatchRanks = header[3];
-  CYP_CHECK(out.key.numRanks >= 1 && out.key.numRanks <= (1u << 22),
-            "manifest: implausible rank count " << out.key.numRanks);
+  out.numRanks = header[1];
+  CYP_CHECK(out.numRanks >= 1 && out.numRanks <= (1u << 22),
+            "manifest: implausible rank count " << out.numRanks);
 
+  // Set when a CRC-valid batch breaks the rank tiling. Salvage stops
+  // before such a segment like before a torn one, but no torn write
+  // produces it, so it fails the recovery instead of being truncated.
+  std::optional<std::string> badBatch;
+  uint64_t nextRank = 0;
   auto visit = [&](uint8_t kind, std::span<const uint8_t> payload) {
     CYP_CHECK(!out.final.has_value(), "manifest: segment after FINAL");
     ByteReader p(payload);
     if (kind == kBatchSegment) {
       BatchRecord b;
       b.batchIndex = p.uv();
-      b.firstRank = static_cast<int>(p.uv());
-      b.rankCount = static_cast<int>(p.uv());
+      const uint64_t firstRank = p.uv();
+      const uint64_t rankCount = p.uv();
       b.file = p.str();
       b.fileBytes = p.uv();
       b.fileCrc = p.u32fixed();
       b.lostRanks = RankSet::deserialize(p);
       CYP_CHECK(p.atEnd(), "manifest: trailing bytes in batch segment");
-      CYP_CHECK(b.batchIndex == out.batches.size(),
-                "manifest: batch " << b.batchIndex << " out of order");
-      CYP_CHECK(b.rankCount >= 1, "manifest: empty batch");
+      // Checked in u64 before the int casts: nextRank <= numRanks <= 2^22.
+      if (b.batchIndex != out.batches.size() || firstRank != nextRank ||
+          rankCount < 1 || rankCount > out.numRanks - nextRank) {
+        std::ostringstream msg;
+        msg << "manifest: batch " << b.batchIndex << " covers " << rankCount
+            << " ranks from rank " << firstRank << "; batch "
+            << out.batches.size() << " must cover at least one rank from rank "
+            << nextRank << " below " << out.numRanks;
+        badBatch = msg.str();
+        throw Error(*badBatch);
+      }
+      nextRank += rankCount;
+      b.firstRank = static_cast<int>(firstRank);
+      b.rankCount = static_cast<int>(rankCount);
       out.batches.push_back(std::move(b));
-    } else if (kind == kMergeSegment) {
-      MergeRecord m;
-      m.round = p.uv();
-      m.pairIndex = p.uv();
-      m.file = p.str();
-      m.fileBytes = p.uv();
-      m.fileCrc = p.u32fixed();
-      CYP_CHECK(p.atEnd(), "manifest: trailing bytes in merge segment");
-      out.merges.push_back(std::move(m));
     } else {
       FinalRecord f;
       f.outPath = p.str();
@@ -225,6 +223,7 @@ ManifestRecovery readManifest(std::span<const uint8_t> data, bool strict) {
   const trace::SegmentWalk walk = trace::walkSegments(
       r, kManifestFormat,
       strict ? trace::WalkMode::Strict : trace::WalkMode::Salvage, visit);
+  if (badBatch) throw Error(*badBatch);
   out.segmentsRecovered = walk.segments;
   out.bytesDiscarded = walk.bytesDiscarded;
   return out;

@@ -1,9 +1,9 @@
 // Crash-consistent merge spill files (CYSP) and the streaming-merge
 // checkpoint manifest (CYM1).
 //
-// The memory-bounded streaming merge (cypress/merge_stream.hpp) keeps
-// at most a batch of ranks in RAM and parks every intermediate merged
-// CTT on disk. Both on-disk forms are segment logs
+// The memory-bounded streaming merge (cypress/merge_stream.hpp) parks
+// every leaf batch it merges on disk as a sealed spill and checkpoints
+// it in the manifest. Both on-disk forms are segment logs
 // (trace/segment_log.hpp) — CRC framing so any torn byte is
 // detectable, plus an explicit completeness marker — because both are
 // written on the crash path by construction: a kill -9 or an ENOSPC
@@ -26,25 +26,23 @@
 //
 // CYM1 checkpoint manifest:
 //
-//   header:  str "CYM1" | uvarint version (1)
-//            | uv numRanks | uv budgetBytes | uv maxBatchRanks
+//   header:  str "CYM1" | uvarint version (2) | uv numRanks
 //
 // Segment kinds:
 //   0 BATCH payload = uv batchIndex | uv firstRank | uv rankCount
 //                     | str file | uv fileBytes | u32 fileCrc
 //                     | RankSet lostRanks
-//   1 MERGE payload = uv round | uv pairIndex | str file
-//                     | uv fileBytes | u32 fileCrc
-//   2 FINAL payload = str outPath | uv bytes | u32 crc32
+//   1 FINAL payload = str outPath | uv bytes | u32 crc32
 //
 // Like the CYL1 ledger the manifest is a durable segment log, never sealed;
 // each segment is one completed, durable step of the merge. `file` is
 // relative to the manifest's directory; a BATCH with an empty file is
 // a degraded batch whose ranks were dropped (lostRanks says which).
-// Recovery is prefix salvage: replay CRC-valid segments, truncate the
-// torn tail, resume appending. The header parameters pin the plan —
-// resuming with a different rank count or budget would re-batch
-// differently, so it is refused.
+// The batches tile [0, numRanks) in order. Recovery is prefix salvage:
+// replay CRC-valid segments, truncate the torn tail, resume appending.
+// The merged result does not depend on where batches were cut, so the
+// header pins only the rank count: a resume may change the budget or
+// the batch cap and still writes the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -107,12 +105,15 @@ std::vector<uint8_t> parseSpill(std::span<const uint8_t> file);
 /// Read + parse a spill file.
 std::vector<uint8_t> readSpill(io::IoBackend& io, const std::string& path);
 
-/// True when `path` exists and holds a sealed spill of exactly
-/// `expectBytes` payload bytes with CRC `expectCrc` — the resume path's
-/// "is this checkpointed step still durable" probe. Never throws:
-/// missing, torn, or mismatched files are simply not intact.
-bool spillIntact(io::IoBackend& io, const std::string& path,
-                 uint64_t expectBytes, uint32_t expectCrc);
+/// The payload of `path` when it exists and holds a sealed spill of
+/// exactly `expectBytes` payload bytes with CRC `expectCrc` — the resume
+/// path's "is this checkpointed step still durable" probe, which reads
+/// the spill once. Never throws: missing, torn, or mismatched files are
+/// simply not intact (nullopt).
+std::optional<std::vector<uint8_t>> readIntactSpill(io::IoBackend& io,
+                                                    const std::string& path,
+                                                    uint64_t expectBytes,
+                                                    uint32_t expectCrc);
 
 /// One completed leaf batch recorded in the manifest.
 struct BatchRecord {
@@ -125,31 +126,11 @@ struct BatchRecord {
   RankSet lostRanks;  ///< ranks dropped by graceful degradation
 };
 
-/// One completed reduction-pair merge recorded in the manifest.
-struct MergeRecord {
-  uint64_t round = 0;
-  uint64_t pairIndex = 0;
-  std::string file;
-  uint64_t fileBytes = 0;
-  uint32_t fileCrc = 0;
-};
-
 /// The durable FINAL step: the merged CYPC was atomically written.
 struct FinalRecord {
   std::string outPath;
   uint64_t bytes = 0;
   uint32_t crc = 0;
-};
-
-/// The plan parameters pinned in the manifest header. Deterministic
-/// batching is a pure function of these plus the rank CTT stream, so
-/// equality here guarantees a resume re-derives the identical plan.
-struct MergePlanKey {
-  uint64_t numRanks = 0;
-  uint64_t budgetBytes = 0;
-  uint64_t maxBatchRanks = 0;
-
-  bool operator==(const MergePlanKey&) const = default;
 };
 
 /// Append-only CYM1 writer: one write + fsync per segment.
@@ -159,10 +140,9 @@ class ManifestWriter {
   /// or empty, otherwise requires `resume` (the file must already have
   /// been salvaged to a valid prefix by recoverManifestFile).
   ManifestWriter(io::IoBackend& io, const std::string& path,
-                 const MergePlanKey& key, bool resume = false);
+                 uint64_t numRanks, bool resume = false);
 
   void appendBatch(const BatchRecord& b);
-  void appendMerge(const MergeRecord& m);
   void appendFinal(const FinalRecord& f);
 
   /// Durable segments appended through this writer (header excluded) —
@@ -175,16 +155,17 @@ class ManifestWriter {
 
 /// The replayed state of a (possibly torn) manifest.
 struct ManifestRecovery {
-  MergePlanKey key;
-  std::vector<BatchRecord> batches;  ///< ascending batchIndex
-  std::vector<MergeRecord> merges;
+  uint64_t numRanks = 0;
+  std::vector<BatchRecord> batches;  ///< ascending batchIndex, tiling ranks
   std::optional<FinalRecord> final;
   size_t segmentsRecovered = 0;
   size_t bytesDiscarded = 0;  ///< torn tail after the last good segment
 };
 
 /// Salvage manifest bytes: replay CRC-valid segments up to the first
-/// damage. Throws cypress::Error only on an unusable header.
+/// damage. Throws cypress::Error on an unusable header and on a
+/// CRC-valid batch that does not continue the rank tiling — no torn
+/// write produces one, so it is refused, not truncated away.
 ManifestRecovery recoverManifest(std::span<const uint8_t> data);
 
 /// Strict read for fuzzing: any anomaly raises cypress::Error.

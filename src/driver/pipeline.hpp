@@ -176,6 +176,10 @@ SizeReport computeSizes(const RunOutput& run, int threads = 1);
 /// still yields a valid compressed trace for the survivors.
 core::MergedCtt mergeCypress(const RunOutput& run, CostMeter* cost = nullptr,
                              int threads = 1);
+/// The result points into the run's CST, so merging a temporary run
+/// would leave it dangling: keep the run alive in a variable.
+core::MergedCtt mergeCypress(RunOutput&& run, CostMeter* cost = nullptr,
+                             int threads = 1) = delete;
 
 /// Roundtrip-verify every trace a run produced (see verify/roundtrip.hpp).
 verify::Report verifyRun(const RunOutput& run, int threads = 1);

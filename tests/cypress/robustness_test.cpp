@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cypress/decompress.hpp"
@@ -165,6 +166,14 @@ TEST(Robustness, EveryMergePlanSerializesIdentically) {
     }
   }
 }
+
+// A merged trace points into its run's CST, so mergeCypress accepts a
+// run that outlives the call but refuses a temporary one.
+template <typename Run>
+concept MergeableRun =
+    requires { driver::mergeCypress(std::declval<Run>()); };
+static_assert(MergeableRun<const driver::RunOutput&>);
+static_assert(!MergeableRun<driver::RunOutput>);
 
 TEST(Robustness, TimingClassesOfOneContentRoundTrip) {
   // BT's rank groups differ in compute time: at some vertex, entries

@@ -1,7 +1,9 @@
 // Argument validation of the shipped binaries: a --threads or --procs
 // count below 1 is a usage error caught while parsing, so the command
 // fails fast with a message naming the flag, before it traces,
-// listens or writes anything.
+// listens or writes anything. The same holds for `cyptrace merge`'s
+// unsigned flags given anything but decimal digits, or a value past
+// 2^64-1.
 //
 // Also the read commands on a salvaged trace (one whose merge marked
 // some ranks lost): `stats` and `dump --otf` answer for the survivors
@@ -12,6 +14,8 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "child_process.hpp"
 
@@ -118,6 +122,51 @@ TEST(CliArgs, CyptraceStatsPrintsNoLostLineForACompleteTrace) {
   EXPECT_EQ(stats.stdoutText.find("lost ranks"), std::string::npos)
       << stats.stdoutText;
   fs::remove(trace);
+}
+
+TEST(CliArgs, CyptraceMergeRejectsMalformedNumbers) {
+  // A real rank directory, so a flag that slipped through would merge
+  // and write the output.
+  const std::string ranks = tempPath("cyp-args-ranks");
+  const ChildRun emit = runChild(
+      CYPTRACE_BIN, {"run", "JACOBI", "--procs", "8", "--emit-ranks", ranks,
+                     "--out", ranks + ".cyp"});
+  ASSERT_EQ(emit.exitCode, 0) << emit.stderrText;
+
+  const std::string out = tempPath("cyp-args-merge.cyp");
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--batch-ranks", "-1"},
+      {"--batch-ranks", "abc"},
+      {"--batch-ranks", "3x"},
+      {"--batch-ranks", ""},
+      {"--merge-budget", "-1k"},
+      {"--merge-budget", "k"},
+      {"--merge-budget", "18446744073709551616"},
+      {"--merge-budget", "17179869184g"},
+      {"--crash-after-steps", "+2"},
+      {"--crash-after-steps", " 2"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const ChildRun run =
+        runChild(CYPTRACE_BIN, {"merge", ranks, flag, value, "--out", out,
+                                "--work-dir", ranks + ".work"});
+    EXPECT_EQ(run.exitCode, 2) << flag << " " << value;
+    EXPECT_NE(run.stderrText.find(flag), std::string::npos)
+        << flag << " " << value << ": " << run.stderrText;
+    EXPECT_FALSE(fs::exists(out)) << flag << " " << value;
+  }
+
+  // The same flags, well formed, merge to the trace `run` wrote.
+  const ChildRun good = runChild(
+      CYPTRACE_BIN, {"merge", ranks, "--batch-ranks", "3", "--merge-budget",
+                     "64K", "--crash-after-steps", "0", "--out", out,
+                     "--work-dir", ranks + ".work"});
+  ASSERT_EQ(good.exitCode, 0) << good.stderrText;
+  EXPECT_TRUE(fs::exists(out));
+  fs::remove_all(ranks);
+  fs::remove_all(ranks + ".work");
+  fs::remove(ranks + ".cyp");
+  fs::remove(out);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // golden file committed under tests/data/pins/ (the multi-chunk spill,
 // too large to commit, is pinned by its length and CRC32). The goldens
 // were captured from the writers as they stood before the shared
-// segment-log module existed, so any change to the frame, the headers
-// or a payload encoding shows up here as a byte diff. The readers must
+// segment-log module existed (manifest.cym was re-captured when CYM1
+// went to version 2), so any change to the frame, the headers or a
+// payload encoding shows up here as a byte diff. The readers must
 // also parse the pinned bytes back into the values that produced them.
 #include <gtest/gtest.h>
 
@@ -94,15 +95,11 @@ std::vector<uint8_t> sampleLedger(const std::string& dir) {
   return fileBytes(path);
 }
 
-/// CYM1: a BATCH, a degraded BATCH, a MERGE and the FINAL record.
+/// CYM1 version 2: a BATCH, a degraded BATCH and the FINAL record.
 std::vector<uint8_t> sampleManifest(const std::string& dir) {
   const std::string path = dir + "/pin.cym";
-  core::MergePlanKey key;
-  key.numRanks = 6;
-  key.budgetBytes = 1 << 20;
-  key.maxBatchRanks = 3;
   {
-    core::ManifestWriter w(io::realIo(), path, key);
+    core::ManifestWriter w(io::realIo(), path, /*numRanks=*/6);
     core::BatchRecord b;
     b.batchIndex = 0;
     b.firstRank = 0;
@@ -119,13 +116,6 @@ std::vector<uint8_t> sampleManifest(const std::string& dir) {
     b.lostRanks.insert(3);
     b.lostRanks.insert(5);
     w.appendBatch(b);
-    core::MergeRecord m;
-    m.round = 0;
-    m.pairIndex = 0;
-    m.file = "r0-p0.cysp";
-    m.fileBytes = 123;
-    m.fileCrc = 42;
-    w.appendMerge(m);
     core::FinalRecord f;
     f.outPath = "out.cyp";
     f.bytes = 999;
@@ -215,17 +205,13 @@ TEST(FormatPins, ManifestBytesAndParse) {
   const std::string dir = freshDir("cyp_pin_manifest");
   EXPECT_EQ(sampleManifest(dir), golden("manifest.cym"));
   const auto rec = core::parseManifest(golden("manifest.cym"));
-  EXPECT_EQ(rec.segmentsRecovered, 4u);
-  EXPECT_EQ(rec.key.numRanks, 6u);
-  EXPECT_EQ(rec.key.budgetBytes, 1u << 20);
-  EXPECT_EQ(rec.key.maxBatchRanks, 3u);
+  EXPECT_EQ(rec.segmentsRecovered, 3u);
+  EXPECT_EQ(rec.numRanks, 6u);
   ASSERT_EQ(rec.batches.size(), 2u);
   EXPECT_EQ(rec.batches[0].file, "b0.cysp");
   EXPECT_EQ(rec.batches[0].fileCrc, 0xdeadbeefu);
   EXPECT_TRUE(rec.batches[1].file.empty());
   EXPECT_TRUE(rec.batches[1].lostRanks.contains(5));
-  ASSERT_EQ(rec.merges.size(), 1u);
-  EXPECT_EQ(rec.merges[0].file, "r0-p0.cysp");
   ASSERT_TRUE(rec.final.has_value());
   EXPECT_EQ(rec.final->outPath, "out.cyp");
   EXPECT_EQ(rec.final->bytes, 999u);

@@ -292,9 +292,9 @@ TEST_P(FuzzPipeline, RandomProgramRoundTripsThroughEverything) {
               contentOnly(core::decompressRank(merged, r)));
   }
 
-  // One CYPC per trace: a streaming merge in batches of two ranks (three
-  // spills and two reduction rounds) and a run on four threads write
-  // the same bytes.
+  // One CYPC per trace: a streaming merge in batches of two ranks (each
+  // folded into one running total) and a run on four threads write the
+  // same bytes.
   core::StreamingMergeOptions mo;
   mo.maxBatchRanks = 2;
   mo.workDir = (std::filesystem::temp_directory_path() /
@@ -309,8 +309,8 @@ TEST_P(FuzzPipeline, RandomProgramRoundTripsThroughEverything) {
   EXPECT_EQ(streamed.merged.serialize(), bytes);
   std::filesystem::remove_all(mo.workDir);
   opts.threads = 4;
-  EXPECT_EQ(driver::mergeCypress(driver::runSource("fuzz", src, opts)).serialize(),
-            bytes);
+  const driver::RunOutput threaded = driver::runSource("fuzz", src, opts);
+  EXPECT_EQ(driver::mergeCypress(threaded).serialize(), bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline, ::testing::Range<uint64_t>(0, 64));

@@ -132,7 +132,7 @@ TEST(StreamingArtifacts, SpillSinkFileByteIdenticalToWriteSpill) {
     EXPECT_EQ(tot.crc, flate::crc32(data)) << n;
     EXPECT_EQ(fileBytes(got), fileBytes(ref)) << n;
     EXPECT_EQ(core::readSpill(io, got), data) << n;
-    EXPECT_TRUE(core::spillIntact(io, got, tot.bytes, tot.crc)) << n;
+    EXPECT_TRUE(core::readIntactSpill(io, got, tot.bytes, tot.crc)) << n;
   }
   fs::remove_all(dir);
 }

@@ -20,11 +20,13 @@
 //                  [--batch-ranks N] [--work-dir D] [--resume] [--degrade]
 //                  [--io-fault SPEC]... [--crash-after-steps N] [--keep-work]
 //       Memory-bounded streaming merge of a rank-trace directory (as
-//       written by `run --emit-ranks`) into one merged CYPC. Spills
-//       intermediates to --work-dir as crash-consistent CYSP files and
-//       checkpoints each completed step in a CYM1 manifest, so after a
-//       kill -9 or a disk fault `merge --resume` continues from the
-//       last durable step and produces a byte-identical trace.
+//       written by `run --emit-ranks`) into one merged CYPC. Batches of
+//       ranks fold in order into one running total; each batch is
+//       spilled to --work-dir as a crash-consistent CYSP file and
+//       checkpointed in a CYM1 manifest, so after a kill -9 or a disk
+//       fault `merge --resume` (under any budget or batch cap)
+//       continues from the last durable step and produces a
+//       byte-identical trace.
 //       --io-fault injects deterministic disk faults
 //       (enospc@N | eio@N | short@N | fsync@N | rename@N, each with an
 //       optional :pathSubstr filter); --degrade turns unrecoverable
@@ -61,11 +63,14 @@
 //       check byte stability and (with --fuzz) corruption-fuzz the
 //       deserializer.
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cypress/decompress.hpp"
@@ -146,18 +151,33 @@ struct Args {
   std::exit(2);
 }
 
-/// Parse "64m"/"1g"-style byte counts (bare numbers are bytes).
-uint64_t parseByteCount(const std::string& s) {
-  CYP_CHECK(!s.empty(), "empty byte count");
-  uint64_t mult = 1;
-  std::string num = s;
-  switch (s.back()) {
-    case 'k': case 'K': mult = 1ull << 10; num.pop_back(); break;
-    case 'm': case 'M': mult = 1ull << 20; num.pop_back(); break;
-    case 'g': case 'G': mult = 1ull << 30; num.pop_back(); break;
-    default: break;
+/// Parse an unsigned flag value (--batch-ranks, --crash-after-steps,
+/// --merge-budget; with `sizeSuffix` a trailing k/m/g scales it, as in
+/// "64m"). Anything but decimal digits, or a value past 2^64-1, is a
+/// usage error naming the flag, raised before any work starts.
+uint64_t parseUnsigned(const std::string& flag, const std::string& v,
+                       bool sizeSuffix = false) {
+  std::string_view digits = v;
+  unsigned shift = 0;
+  if (sizeSuffix && !digits.empty()) {
+    switch (digits.back()) {
+      case 'k': case 'K': shift = 10; break;
+      case 'm': case 'M': shift = 20; break;
+      case 'g': case 'G': shift = 30; break;
+      default: break;
+    }
+    if (shift != 0) digits.remove_suffix(1);
   }
-  return std::stoull(num) * mult;
+  uint64_t n = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, n);
+  if (ec != std::errc() || ptr != end || n > (UINT64_MAX >> shift)) {
+    std::fprintf(stderr, "cyptrace: %s needs an unsigned integer%s, got %s\n",
+                 flag.c_str(), sizeSuffix ? " (optionally k, m or g)" : "",
+                 v.c_str());
+    std::exit(2);
+  }
+  return n << shift;
 }
 
 /// Parse a count flag that must be at least 1 (--procs, --threads);
@@ -211,14 +231,16 @@ Args parse(int argc, char** argv) {
     else if (flag == "--journal") a.journal = value();
     else if (flag == "--salvage") a.salvage = true;
     else if (flag == "--emit-ranks") a.emitRanks = value();
-    else if (flag == "--merge-budget") a.mergeBudget = parseByteCount(value());
-    else if (flag == "--batch-ranks") a.batchRanks = std::stoull(value());
+    else if (flag == "--merge-budget")
+      a.mergeBudget = parseUnsigned(flag, value(), /*sizeSuffix=*/true);
+    else if (flag == "--batch-ranks") a.batchRanks = parseUnsigned(flag, value());
     else if (flag == "--work-dir") a.workDir = value();
     else if (flag == "--resume") a.resume = true;
     else if (flag == "--degrade") a.degrade = true;
     else if (flag == "--keep-work") a.keepWork = true;
     else if (flag == "--io-fault") a.ioFaults.push_back(value());
-    else if (flag == "--crash-after-steps") a.crashAfterSteps = std::stoull(value());
+    else if (flag == "--crash-after-steps")
+      a.crashAfterSteps = parseUnsigned(flag, value());
     else usage();
   }
   return a;
@@ -332,10 +354,9 @@ int cmdMerge(const Args& a) {
   std::printf("merged %d ranks -> %s (%s)\n", ranks.numRanks,
               mo.outPath.c_str(),
               humanBytes(io->fileSize(mo.outPath)).c_str());
-  std::printf("plan: %llu batches, %llu reduction rounds; "
+  std::printf("plan: %llu batches; "
               "%llu steps executed, %llu resumed from checkpoint\n",
               static_cast<unsigned long long>(res.batches),
-              static_cast<unsigned long long>(res.reductionRounds),
               static_cast<unsigned long long>(res.stepsExecuted),
               static_cast<unsigned long long>(res.stepsResumed));
   if (!res.merged.lostRanks().empty())
