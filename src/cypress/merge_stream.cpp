@@ -4,11 +4,42 @@
 #include <utility>
 #include <vector>
 
-#include "flate/flate.hpp"
 #include "flate/stream.hpp"
 #include "support/error.hpp"
 
 namespace cypress::core {
+
+namespace {
+
+/// Size and CRC-32 of a written file: what BATCH and FINAL records hold.
+struct FileTotals {
+  uint64_t bytes = 0;
+  uint32_t crc = 0;
+};
+
+/// Atomically write `m`'s CYPC to `path`: stream it through the
+/// counting sink into the atomic writer, so the totals need no second
+/// pass and the CYPC never exists as one buffer. With `expect` (the
+/// recomputation of a checkpointed file), differing totals throw before
+/// the rename, so a divergent file never reaches the name.
+FileTotals writeCypc(io::IoBackend& io, const std::string& path,
+                     const MergedCtt& m, const FileTotals* expect) {
+  io::AtomicFileWriter out(io, path);
+  flate::Crc32Sink counted(&out);
+  ByteWriter w(counted);
+  m.serializeTo(w);
+  w.flush();
+  const FileTotals got{counted.bytes(), counted.crc()};
+  CYP_CHECK(!expect || (got.bytes == expect->bytes && got.crc == expect->crc),
+            "manifest: recomputed " << path
+                                    << " diverges from its checkpoint — the "
+                                    << "rank traces changed since the "
+                                    << "interrupted run");
+  out.commit();
+  return got;
+}
+
+}  // namespace
 
 StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
                                     const cst::Tree& cst,
@@ -97,16 +128,12 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
     }
     return b;
   };
-  // Serialize a batch straight into a spill sink: the CYPC stream goes
-  // to disk in chunk-sized slices and never exists as one buffer. The
-  // seal totals feed the BATCH record.
-  auto spillBatch = [&](const Batch& b, const std::string& path) {
-    SpillSink sink(io, path);
-    ByteWriter w(sink);
-    if (b.acc) b.acc->serializeTo(w);
-    else MergedCtt(cst).serializeTo(w);
-    w.flush();
-    return sink.seal();
+  // A batch's spill is its CYPC; a batch of lost ranks only spills the
+  // empty tree.
+  auto spillBatch = [&](const Batch& b, const std::string& file,
+                        const FileTotals* expect) {
+    if (b.acc) return writeCypc(io, abs(file), *b.acc, expect);
+    return writeCypc(io, abs(file), MergedCtt(cst), expect);
   };
   auto fold = [&](Batch& b) {
     if (b.acc) res.merged.absorb(std::move(*b.acc));
@@ -135,12 +162,8 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
         spillFiles.push_back(b.file);
       } else {
         Batch fresh = computeBatch(rank, b.rankCount);
-        const SpillSink::Totals tot = spillBatch(fresh, abs(b.file));
-        CYP_CHECK(tot.bytes == b.fileBytes && tot.crc == b.fileCrc,
-                  "manifest: recomputed batch "
-                      << batchIndex
-                      << " diverges from its checkpoint — the rank traces "
-                      << "changed since the interrupted run");
+        const FileTotals expect{b.fileBytes, b.fileCrc};
+        spillBatch(fresh, b.file, &expect);
         fold(fresh);
         spillFiles.push_back(b.file);
       }
@@ -159,7 +182,7 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
     entry.lostRanks = b.lost;
     bool spilled = true;
     try {
-      const SpillSink::Totals tot = spillBatch(b, abs(entry.file));
+      const FileTotals tot = spillBatch(b, entry.file, nullptr);
       entry.fileBytes = tot.bytes;
       entry.fileCrc = tot.crc;
     } catch (const io::IoError&) {
@@ -170,12 +193,9 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
       spillFiles.push_back(entry.file);
     } else {
       // Graceful degradation: this batch's ranks are lost, the merge
-      // lives on. The empty-file record makes the drop durable so a
-      // later resume does not resurrect the dropped ranks.
-      try {
-        io.remove(abs(entry.file));
-      } catch (const Error&) {
-      }
+      // lives on (the aborted atomic write left no file behind). The
+      // empty-file record makes the drop durable so a later resume does
+      // not resurrect the dropped ranks.
       entry.file.clear();
       entry.fileBytes = 0;
       entry.fileCrc = 0;
@@ -192,25 +212,6 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
   res.merged.markLost(lostAll);
 
   // ---- FINAL: atomic write of the merged CYPC -------------------------
-  // Stream the merged CYPC through the atomic writer; the counting sink
-  // supplies the checkpoint totals without a second pass. A repair
-  // checks them against `expect` BEFORE the rename, so a divergent
-  // recomputation never reaches the final name.
-  auto writeFinal = [&](const FinalRecord* expect) {
-    FinalRecord f;
-    f.outPath = opts.outPath;
-    io::AtomicFileWriter out(io, opts.outPath);
-    flate::Crc32Sink counted(&out);
-    ByteWriter w(counted);
-    res.merged.serializeTo(w);
-    w.flush();
-    f.bytes = counted.bytes();
-    f.crc = counted.crc();
-    CYP_CHECK(!expect || (f.bytes == expect->bytes && f.crc == expect->crc),
-              "manifest: final artifact diverges from its checkpoint");
-    out.commit();
-    return f;
-  };
   if (!opts.outPath.empty()) {
     if (rec && rec->final) {
       const FinalRecord& f = *rec->final;
@@ -218,21 +219,18 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
                 "manifest: resume writes to " << f.outPath
                                               << ", caller asked for "
                                               << opts.outPath);
-      bool intact = false;
-      if (io.exists(opts.outPath)) {
-        try {
-          const auto cur = io.readAll(opts.outPath);
-          intact = cur.size() == f.bytes && flate::crc32(cur) == f.crc;
-        } catch (const Error&) {
-        }
-      }
       // The checkpoint outlived the artifact (e.g. a torn rename):
       // verify-and-repair from the deterministic result.
-      if (!intact) writeFinal(&f);
+      if (!readIntactSpill(io, opts.outPath, f.bytes, f.crc)) {
+        const FileTotals expect{f.bytes, f.crc};
+        writeCypc(io, opts.outPath, res.merged, &expect);
+      }
       ++res.stepsResumed;
     } else {
-      const FinalRecord f = writeFinal(nullptr);
-      checkpoint([&] { writer->appendFinal(f); });
+      const FileTotals tot = writeCypc(io, opts.outPath, res.merged, nullptr);
+      checkpoint([&] {
+        writer->appendFinal(FinalRecord{opts.outPath, tot.bytes, tot.crc});
+      });
     }
   }
 

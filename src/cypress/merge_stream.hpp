@@ -5,8 +5,9 @@
 // claim is about. streamingMerge instead pulls rank CTTs one at a time
 // from a source callback and absorbs them into a batch accumulator
 // until it exceeds the batch budget (or a fixed rank cap). Each batch
-// is spilled to disk as a sealed CYSP file, checkpointed in the CYM1
-// manifest, and then folded into one running total. Peak memory is the
+// is spilled to disk as its own CYPC, written atomically, checkpointed
+// with its size and CRC in the CYM1 manifest, and then folded into one
+// running total. Peak memory is the
 // total plus one batch plus one incoming CTT; the total is the merged
 // trace itself, whose size the paper shows is near-constant in P.
 //
@@ -17,7 +18,7 @@
 //
 // Every durable step (spill + manifest segment) survives kill -9 and
 // injected disk faults: `resume` replays the manifest, folds each
-// recorded spill that is still intact (seal + length + CRC), recomputes
+// recorded spill that is still intact (recorded size + CRC), recomputes
 // exactly the recorded ranks of a damaged one, continues with the next
 // batch, and produces a final CYPC byte-identical to an uninterrupted
 // run — under the same or a different budget and cap.
@@ -37,7 +38,7 @@
 #include <string>
 
 #include "cypress/merge.hpp"
-#include "cypress/spill.hpp"
+#include "cypress/manifest.hpp"
 #include "support/io.hpp"
 
 namespace cypress::core {

@@ -44,7 +44,8 @@ namespace cypress::flate {
 /// everything appended (crc32Combine of per-append CRCs — identical to
 /// one pass over the concatenation). `down` may be null for pure
 /// accounting. Used where a stream's totals must be known without
-/// rescanning it: spill seals, checkpoint records, atomic final writes.
+/// rescanning it: the size and CRC that merge checkpoint records hold
+/// for every spill and final artifact written through an atomic writer.
 class Crc32Sink final : public ByteSink {
  public:
   explicit Crc32Sink(ByteSink* down = nullptr) : down_(down) {}

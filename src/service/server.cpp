@@ -35,6 +35,12 @@ std::string firstLine(const std::string& s) {
   return nl == std::string::npos ? s : s.substr(0, nl);
 }
 
+/// Seed of the deterministic backoff jitter, mixed with the job id and
+/// the attempt, so every server backs off identically.
+constexpr uint64_t kJitterSeed = 0xC4B8E55;
+/// Compiled programs the ProgramCache keeps.
+constexpr size_t kCacheCapacity = 16;
+
 std::string describeRanks(const char* what, const std::vector<int>& ranks) {
   std::string s = what;
   for (int r : ranks) s += ' ' + std::to_string(r);
@@ -46,12 +52,12 @@ std::string describeRanks(const char* what, const std::vector<int>& ranks) {
 JobServer::JobServer(ServerConfig cfg)
     : cfg_(std::move(cfg)),
       io_(cfg_.io ? cfg_.io : &io::realIo()),
-      cache_(cfg_.cacheCapacity) {
+      cache_(kCacheCapacity) {
   io_->createDirectories(cfg_.spoolDir);
-  if (cfg_.ledgerPath.empty()) cfg_.ledgerPath = cfg_.spoolDir + "/jobs.cyl";
+  const std::string ledgerPath = cfg_.spoolDir + "/jobs.cyl";
 
   if (cfg_.recover) {
-    LedgerRecovery rec = recoverLedgerFile(cfg_.ledgerPath, io_);
+    LedgerRecovery rec = recoverLedgerFile(ledgerPath, io_);
     nextId_ = rec.maxJobId;
     for (LedgerJob& lj : rec.jobs) {
       Job j;
@@ -100,12 +106,11 @@ JobServer::JobServer(ServerConfig cfg)
       }
       jobs_.emplace(j.id, std::move(j));
     }
-    ledger_ = std::make_unique<LedgerWriter>(cfg_.ledgerPath, /*resume=*/true,
-                                             io_);
+    ledger_ = std::make_unique<LedgerWriter>(ledgerPath, /*resume=*/true, io_);
     for (uint64_t id : requeued_) ledgerState(jobs_.at(id));
   } else {
-    ledger_ = std::make_unique<LedgerWriter>(cfg_.ledgerPath, /*resume=*/false,
-                                             io_);
+    ledger_ =
+        std::make_unique<LedgerWriter>(ledgerPath, /*resume=*/false, io_);
   }
 }
 
@@ -288,7 +293,7 @@ uint64_t JobServer::backoffMs(uint64_t jobId, uint32_t attempt) const {
   // Deterministic jitter: a fixed (seed, job, attempt) triple always
   // waits the same amount, so tests and recoveries are reproducible
   // while concurrent retries still de-correlate.
-  Rng rng(cfg_.jitterSeed ^ (jobId * 0x9E3779B97F4A7C15ull) ^ attempt);
+  Rng rng(kJitterSeed ^ (jobId * 0x9E3779B97F4A7C15ull) ^ attempt);
   return exp + rng.below(cfg_.backoffBaseMs + 1);
 }
 

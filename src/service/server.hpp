@@ -49,10 +49,9 @@
 namespace cypress::service {
 
 struct ServerConfig {
-  /// Directory receiving artifacts, journals, and (by default) the
-  /// ledger. Created if missing.
+  /// Directory receiving artifacts, journals, and the ledger
+  /// (`jobs.cyl`). Created if missing.
   std::string spoolDir = ".";
-  std::string ledgerPath;  ///< empty = spoolDir + "/jobs.cyl"
   /// Admission bound: jobs waiting to run (initial or retry). A full
   /// queue refuses new work with REJECTED_BUSY.
   size_t queueCapacity = 8;
@@ -64,9 +63,6 @@ struct ServerConfig {
   uint64_t defaultDeadlineMs = 30'000;  ///< per-attempt wall deadline
   uint64_t backoffBaseMs = 25;
   uint64_t backoffCapMs = 2'000;
-  /// Seed for the deterministic backoff jitter (mixed with job id and
-  /// attempt, so two servers with the same seed back off identically).
-  uint64_t jitterSeed = 0xC4B8E55;
   /// Intra-job parallelism (driver::Options::threads).
   int threadsPerJob = 1;
   uint64_t watchdogPollMs = 10;
@@ -79,7 +75,6 @@ struct ServerConfig {
   /// `.salvage` for `cyptrace recover`. Without this flag an existing
   /// non-empty ledger is refused.
   bool recover = false;
-  size_t cacheCapacity = 16;
   /// Backend for every durable write the server performs (ledger,
   /// journals, artifacts). Null = the real filesystem; tests inject a
   /// FaultyIoBackend here to drive the disk-fault failure class.

@@ -2,13 +2,14 @@
 // through an IoBackend.
 //
 // The library's crash-consistency story (CYJ1 journals, the CYL1
-// ledger, CYSP merge spills, atomic artifact write-out) rests on three
-// primitives — append a framed segment, fsync, rename into place — and
-// on the claim that any of them can fail or tear at any moment. This
-// header makes that claim testable: production code writes through
-// RealIoBackend (POSIX write/fsync/rename with directory fsyncs), and
-// tests swap in a FaultyIoBackend that injects ENOSPC, EIO, short
-// writes, fsync failures, and torn renames at deterministic operation
+// ledger, the CYM1 merge manifest, atomic artifact and merge-spill
+// write-out) rests on three primitives — append a framed segment,
+// fsync, rename into place — and on the claim that any of them can
+// fail or tear at any moment. This header makes that claim testable:
+// production code writes through RealIoBackend (POSIX write/fsync/
+// rename with directory fsyncs), and tests swap in a FaultyIoBackend
+// that injects ENOSPC, EIO, short writes, fsync failures, and torn
+// renames at deterministic operation
 // ordinals from a seeded plan — the same `kind@N` grammar the PR 2
 // fault injector uses for MPI ranks (`kill:R@N`), applied to disk ops.
 //
@@ -116,7 +117,7 @@ IoBackend& realIo();
 ///   fsync   Nth sync fails with EIO (data may or may not be durable)
 ///   rename  Nth rename completes but the source had silently lost its
 ///           tail (simulates a missing fsync-before-rename: the
-///           destination exists, torn — CRC/seal checks must catch it)
+///           destination exists, torn — size/CRC checks must catch it)
 struct IoFaultSpec {
   enum class Kind { Enospc, Eio, ShortWrite, FsyncFail, TornRename };
   Kind kind = Kind::Enospc;

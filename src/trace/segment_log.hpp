@@ -1,6 +1,6 @@
 // The segment log: one framing, one walk and one durable writer shared
 // by every crash-consistent cypress format — the CYJ1 trace journal,
-// the CYL1 job ledger, CYSP merge spills and the CYM1 merge manifest.
+// the CYL1 job ledger and the CYM1 merge manifest.
 //
 // A segment log is a header followed by self-contained segments:
 //
@@ -12,7 +12,7 @@
 // differ only in their header fields and in what each segment kind's
 // payload means; everything about the frame lives here.
 //
-// Reading comes in two modes. Strict (verification, fuzzing, spills)
+// Reading comes in two modes. Strict (verification, fuzzing)
 // turns the first anomaly into cypress::Error. Salvage (recovery) stops
 // at the first torn, corrupt or payload-invalid segment and reports how
 // many trailing bytes it discarded; only header damage throws.

@@ -1,9 +1,10 @@
 // Argument validation of the shipped binaries: a --threads or --procs
 // count below 1 is a usage error caught while parsing, so the command
 // fails fast with a message naming the flag, before it traces,
-// listens or writes anything. The same holds for `cyptrace merge`'s
-// unsigned flags given anything but decimal digits, or a value past
-// 2^64-1.
+// listens or writes anything. The same holds for every other numeric
+// flag of `cyptrace` given anything but decimal digits, or a value past
+// its bound (INT_MAX for int flags, 2^64-1 for --seed and merge's
+// unsigned flags).
 //
 // Also the read commands on a salvaged trace (one whose merge marked
 // some ranks lost): `stats` and `dump --otf` answer for the survivors
@@ -167,6 +168,56 @@ TEST(CliArgs, CyptraceMergeRejectsMalformedNumbers) {
   fs::remove_all(ranks + ".work");
   fs::remove(ranks + ".cyp");
   fs::remove(out);
+}
+
+TEST(CliArgs, CyptraceRejectsMalformedNumericFlags) {
+  const std::string trace = tempPath("cyp-args-numbers-src.cyp");
+  const ChildRun traced = runChild(
+      CYPTRACE_BIN, {"run", "JACOBI", "--procs", "4", "--out", trace});
+  ASSERT_EQ(traced.exitCode, 0) << traced.stderrText;
+
+  const std::string out = tempPath("cyp-args-numbers.cyp");
+  struct Case {
+    std::string flag;
+    std::vector<std::string> args;
+  };
+  const std::vector<Case> bad = {
+      {"--procs", {"run", "JACOBI", "--procs", "4x", "--out", out}},
+      {"--procs", {"run", "JACOBI", "--procs", "abc", "--out", out}},
+      {"--procs", {"run", "JACOBI", "--procs", "2147483648", "--out", out}},
+      {"--scale", {"run", "JACOBI", "--procs", "4", "--scale", "0", "--out", out}},
+      {"--scale", {"run", "JACOBI", "--procs", "4", "--scale", "-3", "--out", out}},
+      {"--scale", {"compare", "JACOBI", "--procs", "4", "--scale", "1.5"}},
+      {"--threads", {"run", "JACOBI", "--procs", "4", "--threads", "", "--out", out}},
+      {"--rank", {"dump", trace, "--rank", "abc"}},
+      {"--rank", {"dump", trace, "--rank", "-1"}},
+      {"--rank", {"dump", trace, "--rank", "2147483648"}},
+      {"--limit", {"dump", trace, "--limit", "-5"}},
+      {"--seed", {"verify", trace, "--fuzz", "3", "--seed", "-1"}},
+      {"--seed", {"verify", trace, "--seed", "18446744073709551616"}},
+      {"--fuzz", {"verify", trace, "--fuzz", "-1"}},
+      {"--fuzz", {"verify", trace, "--fuzz", "10x"}},
+  };
+  for (const Case& c : bad) {
+    const ChildRun run = runChild(CYPTRACE_BIN, c.args);
+    std::string argv;
+    for (const std::string& a : c.args) argv += " " + a;
+    EXPECT_EQ(run.exitCode, 2) << argv;
+    EXPECT_NE(run.stderrText.find(c.flag), std::string::npos)
+        << argv << ": " << run.stderrText;
+    EXPECT_TRUE(run.stdoutText.empty()) << argv << ": " << run.stdoutText;
+    EXPECT_FALSE(fs::exists(out)) << argv;
+  }
+
+  // Well-formed values at the edges of their ranges still work.
+  const ChildRun dump =
+      runChild(CYPTRACE_BIN, {"dump", trace, "--rank", "3", "--limit", "0"});
+  EXPECT_EQ(dump.exitCode, 0) << dump.stderrText;
+  const ChildRun verify = runChild(
+      CYPTRACE_BIN, {"verify", trace, "--fuzz", "3", "--seed",
+                     "18446744073709551615"});
+  EXPECT_EQ(verify.exitCode, 0) << verify.stderrText;
+  fs::remove(trace);
 }
 
 }  // namespace

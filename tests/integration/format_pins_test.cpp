@@ -1,8 +1,7 @@
-// Byte pins for the four segment-log formats (CYJ1, CYL1, CYSP, CYM1).
+// Byte pins for the three segment-log formats (CYJ1, CYL1, CYM1).
 //
 // Each sample below is built deterministically and compared against a
-// golden file committed under tests/data/pins/ (the multi-chunk spill,
-// too large to commit, is pinned by its length and CRC32). The goldens
+// golden file committed under tests/data/pins/. The goldens
 // were captured from the writers as they stood before the shared
 // segment-log module existed (manifest.cym was re-captured when CYM1
 // went to version 2), so any change to the frame, the headers or a
@@ -14,8 +13,7 @@
 #include <fstream>
 #include <iterator>
 
-#include "cypress/spill.hpp"
-#include "flate/flate.hpp"
+#include "cypress/manifest.hpp"
 #include "service/ledger.hpp"
 #include "support/io.hpp"
 #include "trace/journal.hpp"
@@ -125,29 +123,6 @@ std::vector<uint8_t> sampleManifest(const std::string& dir) {
   return fileBytes(path);
 }
 
-/// A payload that spans more than one 256 KiB spill chunk.
-std::vector<uint8_t> spillPayload() {
-  std::vector<uint8_t> data((600u << 10) + 77);
-  uint32_t x = 12345;
-  for (uint8_t& b : data) {
-    x = x * 1103515245u + 12345u;
-    b = static_cast<uint8_t>(x >> 16);
-  }
-  return data;
-}
-
-/// CYSP: the multi-chunk payload written through writeSpill.
-std::vector<uint8_t> sampleSpill(const std::string& dir) {
-  const std::string path = dir + "/pin.cysp";
-  core::writeSpill(io::realIo(), path, spillPayload());
-  return fileBytes(path);
-}
-
-// Pinned at the pre-refactor writers: length and CRC32 of the whole
-// CYSP file holding spillPayload().
-constexpr size_t kSpillPinBytes = 614520;
-constexpr uint32_t kSpillPinCrc = 0x34e7a522;
-
 TEST(FormatPins, JournalBytesAndParse) {
   const auto bytes = sampleJournal();
   EXPECT_EQ(bytes, golden("journal.cyj"));
@@ -215,14 +190,6 @@ TEST(FormatPins, ManifestBytesAndParse) {
   ASSERT_TRUE(rec.final.has_value());
   EXPECT_EQ(rec.final->outPath, "out.cyp");
   EXPECT_EQ(rec.final->bytes, 999u);
-}
-
-TEST(FormatPins, MultiChunkSpillBytesAndParse) {
-  const std::string dir = freshDir("cyp_pin_spill");
-  const auto bytes = sampleSpill(dir);
-  EXPECT_EQ(bytes.size(), kSpillPinBytes);
-  EXPECT_EQ(flate::crc32(bytes), kSpillPinCrc);
-  EXPECT_EQ(core::parseSpill(bytes), spillPayload());
 }
 
 }  // namespace

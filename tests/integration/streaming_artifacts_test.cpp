@@ -1,5 +1,5 @@
 // The streaming-write contract: every artifact the pipeline can stream
-// (per-rank CYPP, merged CYPC, CYSP spills, raw CYTR) must be
+// (per-rank CYPP, merged CYPC, raw CYTR) must be
 // byte-identical to the materialize-then-write path it replaced, at
 // every thread count — streaming is a memory optimization, never a
 // format change.
@@ -12,13 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "cypress/spill.hpp"
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
 #include "flate/stream.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
-#include "support/rng.hpp"
 
 namespace cypress {
 namespace {
@@ -102,39 +100,6 @@ TEST(StreamingArtifacts, CypcAndCytrStreamedEqualMaterialized) {
 TEST(StreamingArtifacts, SerializedBytesMatchesSerializeWithoutMaterializing) {
   const driver::RunOutput& run = cgRun();
   EXPECT_EQ(run.raw.serializedBytes(), run.raw.serialize().size());
-}
-
-TEST(StreamingArtifacts, SpillSinkFileByteIdenticalToWriteSpill) {
-  // Cover one-chunk, exact-chunk-boundary, and multi-chunk streams.
-  const std::string dir = freshDir("cyp-stream-spill");
-  io::IoBackend& io = io::realIo();
-  Rng rng(7);
-  for (size_t n : {size_t{0}, size_t{1000}, size_t{256 * 1024},
-                   size_t{256 * 1024 + 1}, size_t{700 * 1024 + 33}}) {
-    std::vector<uint8_t> data(n);
-    for (auto& b : data) b = static_cast<uint8_t>(rng.below(256));
-
-    const std::string ref = dir + "/ref.cysp";
-    const std::string got = dir + "/got.cysp";
-    core::writeSpill(io, ref, data);
-    core::SpillSink sink(io, got);
-    // Dribble the stream in uneven slices to stress the chunk cutter.
-    std::span<const uint8_t> rest(data);
-    size_t step = 1;
-    while (!rest.empty()) {
-      const size_t take = std::min(step, rest.size());
-      sink.append(rest.subspan(0, take));
-      rest = rest.subspan(take);
-      step = step * 3 + 1;
-    }
-    const core::SpillSink::Totals tot = sink.seal();
-    EXPECT_EQ(tot.bytes, data.size()) << n;
-    EXPECT_EQ(tot.crc, flate::crc32(data)) << n;
-    EXPECT_EQ(fileBytes(got), fileBytes(ref)) << n;
-    EXPECT_EQ(core::readSpill(io, got), data) << n;
-    EXPECT_TRUE(core::readIntactSpill(io, got, tot.bytes, tot.crc)) << n;
-  }
-  fs::remove_all(dir);
 }
 
 TEST(StreamingArtifacts, WriteRankTracesStreamsFromRecorders) {

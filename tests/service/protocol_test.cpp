@@ -288,7 +288,9 @@ TEST(Admission, QueueFullGetsRejectedBusy) {
   for (int i = 0; i < 10; ++i) {
     const auto r = server.submit(sampleSpec(), /*clientId=*/i);
     (r.accepted ? accepted : rejected)++;
-    if (!r.accepted) EXPECT_FALSE(r.message.empty());
+    if (!r.accepted) {
+      EXPECT_FALSE(r.message.empty());
+    }
   }
   EXPECT_EQ(accepted, 3);
   EXPECT_EQ(rejected, 7);

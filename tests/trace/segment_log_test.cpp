@@ -1,5 +1,5 @@
 // Segment-log unit tests: the one frame, walk, durable writer and file
-// recovery every crash-consistent format (CYJ1, CYL1, CYSP, CYM1)
+// recovery every crash-consistent format (CYJ1, CYL1, CYM1)
 // builds on. A synthetic log is cut at every byte and flipped at every
 // byte in both walk modes; a torn header at every prefix length must
 // be truncated to empty; foreign files and unresumed overwrites are

@@ -22,8 +22,9 @@
 //       Memory-bounded streaming merge of a rank-trace directory (as
 //       written by `run --emit-ranks`) into one merged CYPC. Batches of
 //       ranks fold in order into one running total; each batch is
-//       spilled to --work-dir as a crash-consistent CYSP file and
-//       checkpointed in a CYM1 manifest, so after a kill -9 or a disk
+//       spilled to --work-dir as its own CYPC (b<i>.cysp, written
+//       atomically) and checkpointed with its size and CRC in a CYM1
+//       manifest, so after a kill -9 or a disk
 //       fault `merge --resume` (under any budget or batch cap)
 //       continues from the last durable step and produces a
 //       byte-identical trace.
@@ -64,6 +65,7 @@
 //       deserializer.
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -151,12 +153,12 @@ struct Args {
   std::exit(2);
 }
 
-/// Parse an unsigned flag value (--batch-ranks, --crash-after-steps,
-/// --merge-budget; with `sizeSuffix` a trailing k/m/g scales it, as in
-/// "64m"). Anything but decimal digits, or a value past 2^64-1, is a
-/// usage error naming the flag, raised before any work starts.
+/// Parse an unsigned flag value of at most `max` (with `sizeSuffix` a
+/// trailing k/m/g scales it, as in "64m"). Anything but decimal digits,
+/// or a value past `max`, is a usage error naming the flag, raised
+/// before any work starts.
 uint64_t parseUnsigned(const std::string& flag, const std::string& v,
-                       bool sizeSuffix = false) {
+                       uint64_t max = UINT64_MAX, bool sizeSuffix = false) {
   std::string_view digits = v;
   unsigned shift = 0;
   if (sizeSuffix && !digits.empty()) {
@@ -171,23 +173,26 @@ uint64_t parseUnsigned(const std::string& flag, const std::string& v,
   uint64_t n = 0;
   const char* end = digits.data() + digits.size();
   const auto [ptr, ec] = std::from_chars(digits.data(), end, n);
-  if (ec != std::errc() || ptr != end || n > (UINT64_MAX >> shift)) {
-    std::fprintf(stderr, "cyptrace: %s needs an unsigned integer%s, got %s\n",
+  if (ec != std::errc() || ptr != end || n > (max >> shift)) {
+    std::fprintf(stderr,
+                 "cyptrace: %s needs an unsigned integer%s up to %llu, "
+                 "got %s\n",
                  flag.c_str(), sizeSuffix ? " (optionally k, m or g)" : "",
-                 v.c_str());
+                 static_cast<unsigned long long>(max), v.c_str());
     std::exit(2);
   }
   return n << shift;
 }
 
-/// Parse a count flag that must be at least 1 (--procs, --threads);
-/// anything lower is a usage error naming the flag, raised before any
-/// work starts.
-int parseCount(const std::string& flag, const std::string& v) {
-  const int n = std::stoi(v);
-  if (n < 1) {
-    std::fprintf(stderr, "cyptrace: %s must be at least 1, got %s\n",
-                 flag.c_str(), v.c_str());
+/// Parse an int flag of at least `min` — 1 for the counts (--procs,
+/// --threads, --scale), 0 for --rank, --limit and --fuzz — and at most
+/// INT_MAX; anything else is a usage error naming the flag, raised
+/// before any work starts.
+int parseCount(const std::string& flag, const std::string& v, int min = 1) {
+  const auto n = static_cast<int>(parseUnsigned(flag, v, INT_MAX));
+  if (n < min) {
+    std::fprintf(stderr, "cyptrace: %s must be at least %d, got %s\n",
+                 flag.c_str(), min, v.c_str());
     std::exit(2);
   }
   return n;
@@ -218,21 +223,22 @@ Args parse(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--procs") a.procs = parseCount(flag, value());
-    else if (flag == "--scale") a.scale = std::stoi(value());
+    else if (flag == "--scale") a.scale = parseCount(flag, value());
     else if (flag == "--threads") a.threads = parseCount(flag, value());
-    else if (flag == "--rank") a.rank = std::stoi(value());
-    else if (flag == "--limit") a.limit = std::stoi(value());
+    else if (flag == "--rank") a.rank = parseCount(flag, value(), 0);
+    else if (flag == "--limit") a.limit = parseCount(flag, value(), 0);
     else if (flag == "--out") a.out = value();
     else if (flag == "--net") a.net = value();
     else if (flag == "--otf") a.otf = true;
-    else if (flag == "--fuzz") a.fuzz = std::stoi(value());
-    else if (flag == "--seed") a.seed = std::stoull(value());
+    else if (flag == "--fuzz") a.fuzz = parseCount(flag, value(), 0);
+    else if (flag == "--seed") a.seed = parseUnsigned(flag, value());
     else if (flag == "--fault") a.faultSpecs.push_back(value());
     else if (flag == "--journal") a.journal = value();
     else if (flag == "--salvage") a.salvage = true;
     else if (flag == "--emit-ranks") a.emitRanks = value();
     else if (flag == "--merge-budget")
-      a.mergeBudget = parseUnsigned(flag, value(), /*sizeSuffix=*/true);
+      a.mergeBudget =
+          parseUnsigned(flag, value(), UINT64_MAX, /*sizeSuffix=*/true);
     else if (flag == "--batch-ranks") a.batchRanks = parseUnsigned(flag, value());
     else if (flag == "--work-dir") a.workDir = value();
     else if (flag == "--resume") a.resume = true;
