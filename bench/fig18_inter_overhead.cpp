@@ -1,6 +1,6 @@
 // Figure 18: inter-process trace compression (merge) time in seconds —
 // the master-slave alignment of the dynamic tools versus CYPRESS's
-// template-guided tree merge.
+// template-guided rank-order merge.
 #include <cstdio>
 
 #include "bench_util.hpp"

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <optional>
 
 #include "flate/flate.hpp"
 #include "support/error.hpp"
@@ -100,9 +98,12 @@ void absorbEntries(std::vector<Entry>& mine, std::vector<Entry>&& theirs) {
     m->ranks.unite(e.ranks);
     pool(*m, e);
   }
-  std::sort(mine.begin(), mine.end(), [](const Entry& a, const Entry& b) {
+  // A rank-order fold keeps the list sorted: check before sorting.
+  const auto byLowestRank = [](const Entry& a, const Entry& b) {
     return a.ranks.ranks() < b.ranks.ranks();
-  });
+  };
+  if (!std::is_sorted(mine.begin(), mine.end(), byLowestRank))
+    std::sort(mine.begin(), mine.end(), byLowestRank);
 }
 
 }  // namespace
@@ -136,48 +137,22 @@ MergedCtt mergeAll(std::vector<const Ctt*> ctts, CostMeter* interCost,
   CYP_CHECK(ranks == nullptr || ranks->size() == ctts.size(),
             "mergeAll: " << ctts.size() << " CTTs but " << ranks->size()
                          << " rank labels");
-  // The paper's O(n log P) parallel merge: level k+1 node i = node(k, 2i)
-  // ⊕ node(k, 2i+1), and an odd last node is carried up. absorb is a
-  // union of equivalence classes, so the bytes do not depend on this
-  // shape; the shape bounds memory. It is evaluated depth-first,
-  // wrapping each process's CTT only when its leaf is reached: one lane
-  // holds at most one pending left operand per level, O(log P) trees
-  // instead of all P.
+  // Lane l folds its contiguous range [l·n/L, (l+1)·n/L) in rank order
+  // into one running total, then the lane totals fold in order: the
+  // streaming merge's loop without spills. absorb is a union of
+  // equivalence classes, so the lane count does not change the bytes,
+  // and in rank order each RankSet::unite appends.
   const size_t n = ctts.size();
-  const std::function<MergedCtt(size_t, size_t)> node =
-      [&](size_t first, size_t width) {
-        if (width == 1)
-          return MergedCtt::fromCtt(
-              *ctts[first], ranks ? (*ranks)[first] : static_cast<int>(first));
-        const size_t half = width / 2;
-        if (first + half >= n) return node(first, half);  // carried up
-        MergedCtt left = node(first, half);
-        left.absorb(node(first + half, half));
-        return left;
-      };
-
+  const size_t lanes = std::min(n, static_cast<size_t>(threads));
   Stopwatch watch;
-  // One subtree per lane at the highest level that still has >= threads
-  // nodes; the few levels above it reduce a level at a time.
-  const auto lanes = static_cast<size_t>(threads);
-  size_t width = 1;
-  while (width < n && (n + 2 * width - 1) / (2 * width) >= lanes) width *= 2;
-  std::vector<std::optional<MergedCtt>> level((n + width - 1) / width);
-  parallelFor(level.size(), threads,
-              [&](size_t i) { level[i].emplace(node(i * width, width)); });
-  while (level.size() > 1) {
-    const size_t pairs = level.size() / 2;
-    parallelFor(pairs, threads, [&](size_t p) {
-      level[2 * p]->absorb(std::move(*level[2 * p + 1]));
-    });
-    std::vector<std::optional<MergedCtt>> next;
-    next.reserve(pairs + 1);
-    for (size_t p = 0; p < pairs; ++p) next.push_back(std::move(level[2 * p]));
-    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
+  std::vector<MergedCtt> totals(lanes, MergedCtt(ctts.front()->cst()));
+  parallelFor(lanes, threads, [&](size_t l) {
+    for (size_t i = l * n / lanes; i < (l + 1) * n / lanes; ++i)
+      totals[l].absorb(*ctts[i], ranks ? (*ranks)[i] : static_cast<int>(i));
+  });
+  for (size_t l = 1; l < lanes; ++l) totals[0].absorb(std::move(totals[l]));
   if (interCost) interCost->add(watch.ns());
-  return std::move(*level.front());
+  return std::move(totals[0]);
 }
 
 namespace {

@@ -3,8 +3,8 @@
 // All per-process CTTs share the CST's shape, so merging two (merged)
 // trees is a single simultaneous pre-order walk comparing the payloads
 // at each vertex — O(n) per pair, versus the O(n²) alignment dynamic
-// methods need. mergeAll() combines P processes with a binary-tree
-// reduction (the paper's parallel merge, O(n log P) total).
+// methods need. mergeAll() folds P processes in rank order, one
+// running total per lane (the paper's parallel merge, §IV-B).
 //
 // Per vertex the merged tree keeps a list of payload variants, each
 // annotated with the set of ranks sharing it (stride-encoded RankSet);
@@ -49,6 +49,8 @@ class MergedCtt {
   /// equal timing classes). Commutative and associative up to the
   /// serialized bytes, so every merge plan writes the same trace.
   void absorb(MergedCtt&& other);
+  /// Absorb one process's CTT: the step every merge fold repeats.
+  void absorb(const Ctt& ctt, int rank) { absorb(fromCtt(ctt, rank)); }
 
   const cst::Tree& cst() const { return *cst_; }
 
@@ -97,15 +99,13 @@ class MergedCtt {
 const SectionSeq* seqFor(const std::vector<SeqEntry>& entries, int32_t rank);
 const LeafEntry* leafFor(const std::vector<LeafEntry>& entries, int32_t rank);
 
-/// Binary-tree reduction over per-process CTTs. `interCost`, when given,
-/// accumulates the merge CPU time (Fig. 18). Level k+1 node i merges
-/// level k nodes 2i and 2i+1, an odd last node is carried up, and the
-/// tree is evaluated depth-first, so only O(threads·log P) partial trees
-/// are live at once. `threads` > 1 builds one subtree per lane (the
-/// paper's parallel merge, §IV-B); like any other plan, it yields the
-/// same bytes. `ranks`, when given, supplies the
-/// world rank of each CTT (for partial merges over surviving ranks);
-/// by default ctts[i] is rank i.
+/// Merge per-process CTTs. `interCost`, when given, accumulates the
+/// merge CPU time (Fig. 18). min(P, threads) lanes each fold a
+/// contiguous rank range, in rank order, into one running total, and
+/// the lane totals fold in order (the paper's parallel merge, §IV-B);
+/// like any other plan, it yields the same bytes. `ranks`, when given,
+/// supplies the world rank of each CTT (for partial merges over
+/// surviving ranks); by default ctts[i] is rank i.
 MergedCtt mergeAll(std::vector<const Ctt*> ctts, CostMeter* interCost = nullptr,
                    int threads = 1, const std::vector<int>* ranks = nullptr);
 

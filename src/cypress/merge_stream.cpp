@@ -99,48 +99,49 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
   const uint64_t leafBudget = opts.budgetBytes ? opts.budgetBytes / 4 : 0;
 
   struct Batch {
-    std::optional<MergedCtt> acc;
+    MergedCtt acc;
     int count = 0;
     RankSet lost;
   };
   // `exactCount` > 0 recomputes a checkpointed batch of exactly that
   // many ranks; 0 cuts a live batch at the budget or the cap.
   auto computeBatch = [&](int firstRank, int exactCount) {
-    Batch b;
+    Batch b{MergedCtt(cst), 0, RankSet{}};
     for (int r = firstRank; r < numRanks; ++r) {
       if (exactCount != 0 ? b.count == exactCount
                           : opts.maxBatchRanks != 0 &&
                                 static_cast<uint64_t>(b.count) >=
                                     opts.maxBatchRanks)
         break;
-      std::optional<Ctt> ctt = source(r);
-      if (ctt) {
-        MergedCtt one = MergedCtt::fromCtt(*ctt, r);
-        if (!b.acc) b.acc.emplace(std::move(one));
-        else b.acc->absorb(std::move(one));
-      } else {
-        b.lost.insert(r);
-      }
+      if (const std::optional<Ctt> ctt = source(r)) b.acc.absorb(*ctt, r);
+      else b.lost.insert(r);
       ++b.count;
-      if (exactCount == 0 && b.acc && leafBudget != 0 &&
-          b.acc->memoryBytes() > leafBudget)
+      // The budget closes a batch only once it holds a live CTT.
+      if (exactCount == 0 && leafBudget != 0 &&
+          b.lost.size() < static_cast<size_t>(b.count) &&
+          b.acc.memoryBytes() > leafBudget)
         break;
     }
     return b;
   };
-  // A batch's spill is its CYPC; a batch of lost ranks only spills the
-  // empty tree.
-  auto spillBatch = [&](const Batch& b, const std::string& file,
-                        const FileTotals* expect) {
-    if (b.acc) return writeCypc(io, abs(file), *b.acc, expect);
-    return writeCypc(io, abs(file), MergedCtt(cst), expect);
-  };
-  auto fold = [&](Batch& b) {
-    if (b.acc) res.merged.absorb(std::move(*b.acc));
-  };
 
   std::vector<BatchRecord> recBatches;
   if (rec) recBatches = rec->batches;
+
+  // A resume that finds FINAL and its output intact has nothing to
+  // compute: the output is the result, and no spill is read.
+  bool finalIntact = false;
+  if (rec && rec->final && !opts.outPath.empty()) {
+    const FinalRecord& f = *rec->final;
+    CYP_CHECK(f.outPath == opts.outPath,
+              "manifest: resume writes to " << f.outPath
+                                            << ", caller asked for "
+                                            << opts.outPath);
+    if (const auto out = readIntactSpill(io, f.outPath, f.bytes, f.crc)) {
+      res.merged = MergedCtt::deserialize(*out, cst);
+      finalIntact = true;
+    }
+  }
 
   RankSet lostAll;  // every rank absent from the final tree
   uint64_t batchIndex = 0;
@@ -156,6 +157,8 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
       lostAll.unite(b.lostRanks);
       if (b.file.empty()) {
         res.droppedRanks.unite(b.lostRanks);
+      } else if (finalIntact) {
+        spillFiles.push_back(b.file);
       } else if (const auto payload = readIntactSpill(
                      io, abs(b.file), b.fileBytes, b.fileCrc)) {
         res.merged.absorb(MergedCtt::deserialize(*payload, cst));
@@ -163,8 +166,8 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
       } else {
         Batch fresh = computeBatch(rank, b.rankCount);
         const FileTotals expect{b.fileBytes, b.fileCrc};
-        spillBatch(fresh, b.file, &expect);
-        fold(fresh);
+        writeCypc(io, abs(b.file), fresh.acc, &expect);
+        res.merged.absorb(std::move(fresh.acc));
         spillFiles.push_back(b.file);
       }
       rank += b.rankCount;
@@ -182,7 +185,7 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
     entry.lostRanks = b.lost;
     bool spilled = true;
     try {
-      const FileTotals tot = spillBatch(b, entry.file, nullptr);
+      const FileTotals tot = writeCypc(io, abs(entry.file), b.acc, nullptr);
       entry.fileBytes = tot.bytes;
       entry.fileCrc = tot.crc;
     } catch (const io::IoError&) {
@@ -204,7 +207,7 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
     }
     lostAll.unite(entry.lostRanks);
     checkpoint([&] { writer->appendBatch(entry); });
-    if (spilled) fold(b);
+    if (spilled) res.merged.absorb(std::move(b.acc));
     rank += b.count;
     ++batchIndex;
   }
@@ -214,15 +217,10 @@ StreamingMergeResult streamingMerge(int numRanks, const CttSource& source,
   // ---- FINAL: atomic write of the merged CYPC -------------------------
   if (!opts.outPath.empty()) {
     if (rec && rec->final) {
-      const FinalRecord& f = *rec->final;
-      CYP_CHECK(f.outPath == opts.outPath,
-                "manifest: resume writes to " << f.outPath
-                                              << ", caller asked for "
-                                              << opts.outPath);
       // The checkpoint outlived the artifact (e.g. a torn rename):
-      // verify-and-repair from the deterministic result.
-      if (!readIntactSpill(io, opts.outPath, f.bytes, f.crc)) {
-        const FileTotals expect{f.bytes, f.crc};
+      // repair it from the deterministic result.
+      if (!finalIntact) {
+        const FileTotals expect{rec->final->bytes, rec->final->crc};
         writeCypc(io, opts.outPath, res.merged, &expect);
       }
       ++res.stepsResumed;

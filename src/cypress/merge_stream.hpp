@@ -1,15 +1,16 @@
 // Memory-bounded, crash-resumable streaming merge.
 //
-// mergeAll (cypress/merge.hpp) holds every rank's CTT in RAM at once —
-// fine at P=64, fatal at the P=4K–64K scale the paper's constant-size
-// claim is about. streamingMerge instead pulls rank CTTs one at a time
-// from a source callback and absorbs them into a batch accumulator
-// until it exceeds the batch budget (or a fixed rank cap). Each batch
-// is spilled to disk as its own CYPC, written atomically, checkpointed
-// with its size and CRC in the CYM1 manifest, and then folded into one
-// running total. Peak memory is the
-// total plus one batch plus one incoming CTT; the total is the merged
-// trace itself, whose size the paper shows is near-constant in P.
+// mergeAll (cypress/merge.hpp) folds CTTs that are all in RAM at once,
+// as a traced run holds them; a rank directory at the P=4K–64K scale
+// the paper's constant-size claim is about need not fit. streamingMerge
+// runs the same rank-order fold (MergedCtt::absorb of one CTT), but it
+// pulls rank CTTs one at a time from a source callback into a batch
+// accumulator until it exceeds the batch budget (or a fixed rank cap).
+// Each batch is spilled to disk as its own CYPC, written atomically,
+// checkpointed with its size and CRC in the CYM1 manifest, and then
+// folded into one running total. Peak memory is the total plus one
+// batch plus one incoming CTT; the total is the merged trace itself,
+// whose size the paper shows is near-constant in P.
 //
 // absorb is a union of equivalence classes, so the result does not
 // depend on where batches were cut: every budget and rank cap writes
@@ -21,7 +22,8 @@
 // recorded spill that is still intact (recorded size + CRC), recomputes
 // exactly the recorded ranks of a damaged one, continues with the next
 // batch, and produces a final CYPC byte-identical to an uninterrupted
-// run — under the same or a different budget and cap.
+// run — under the same or a different budget and cap. A resume whose
+// manifest holds FINAL and whose output is intact reads no spill.
 //
 // Graceful degradation (`degrade`): when a batch spill dies on a disk
 // fault, the batch's ranks are annotated as lost (the lostRanks

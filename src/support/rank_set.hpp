@@ -35,8 +35,17 @@ class RankSet {
     if (it == ranks_.end() || *it != rank) ranks_.insert(it, rank);
   }
 
-  /// Set union (the other set's ranks are absorbed).
+  /// Set union (the other set's ranks are absorbed). A rank-order fold
+  /// unites sets that lie wholly above this one: that case appends, so
+  /// adding one rank at a time stays amortized O(1) per rank.
   void unite(const RankSet& o) {
+    if (o.ranks_.empty()) return;
+    if (ranks_.empty() || o.ranks_.front() >= ranks_.back()) {
+      const auto from = o.ranks_.begin() +
+                        (!ranks_.empty() && o.ranks_.front() == ranks_.back());
+      ranks_.insert(ranks_.end(), from, o.ranks_.end());
+      return;
+    }
     std::vector<int32_t> out;
     out.reserve(ranks_.size() + o.ranks_.size());
     std::set_union(ranks_.begin(), ranks_.end(), o.ranks_.begin(), o.ranks_.end(),
@@ -79,8 +88,11 @@ class RankSet {
     return s;
   }
 
+  /// Counts the members, not the slack an appending unite leaves, so a
+  /// budget measured with it (the streaming merge's batch cut) does not
+  /// depend on the vector's growth policy.
   size_t memoryBytes() const {
-    return sizeof(*this) + ranks_.capacity() * sizeof(int32_t);
+    return sizeof(*this) + ranks_.size() * sizeof(int32_t);
   }
 
  private:

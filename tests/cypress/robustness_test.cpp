@@ -93,9 +93,9 @@ TEST(Robustness, ParallelMergeIdenticalToSequential) {
   }
 }
 
-// The reduction tree mergeAll evaluates, written out level by level:
-// level k+1 node i = node(k, 2i) ⊕ node(k, 2i+1), an odd last node
-// carried up.
+// The paper's parallel merge (§IV-B) as a plan: the binary reduction
+// tree, written out level by level, level k+1 node i = node(k, 2i) ⊕
+// node(k, 2i+1), an odd last node carried up.
 MergedCtt levelOrderMerge(const std::vector<const Ctt*>& ctts) {
   std::vector<MergedCtt> level;
   for (size_t r = 0; r < ctts.size(); ++r)
@@ -165,6 +165,37 @@ TEST(Robustness, EveryMergePlanSerializesIdentically) {
             << "threads=" << threads;
     }
   }
+}
+
+TEST(Robustness, MergeAllOverSurvivorsIsTheRankOrderFold) {
+  // Survivor labels with gaps (a salvaged run): at 4 and 8 threads a
+  // lane cut falls between ranks 4 and 7, next to the gap.
+  driver::Options opts;
+  opts.procs = 24;
+  opts.withRaw = false;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  driver::RunOutput run = driver::runWorkload("JACOBI", opts);
+  std::vector<const Ctt*> ctts;
+  std::vector<int> labels;
+  for (int r = 0; r < opts.procs; ++r) {
+    if (r == 5 || r == 6 || r == 12 || r == 17) continue;
+    ctts.push_back(&run.cypress[static_cast<size_t>(r)]->ctt());
+    labels.push_back(r);
+  }
+  ASSERT_EQ(labels[4], 4);
+  ASSERT_EQ(labels[5], 7);  // the cut at index 20·1/4 = 20·2/8 = 5
+
+  MergedCtt fold(*run.cst);
+  for (size_t i = 0; i < ctts.size(); ++i) fold.absorb(*ctts[i], labels[i]);
+  const auto expected = fold.serialize();
+  RankSet covered;
+  for (int g = 0; g < run.cst->numNodes(); ++g)
+    for (const LeafEntry& e : fold.leafEntries(g)) covered.unite(e.ranks);
+  EXPECT_EQ(covered.ranks(), std::vector<int32_t>(labels.begin(), labels.end()));
+  for (int threads : {1, 2, 3, 4, 8})
+    EXPECT_EQ(mergeAll(ctts, nullptr, threads, &labels).serialize(), expected)
+        << "threads=" << threads;
 }
 
 // A merged trace points into its run's CST, so mergeCypress accepts a

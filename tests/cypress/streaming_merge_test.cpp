@@ -313,9 +313,9 @@ TEST(Manifest, VersionOneIsRefusedNamingVersionTwo) {
 
 TEST(StreamingMerge, MatchesMergeAllStructurally) {
   const Fixture& fx = Fixture::get();
-  // Folding batches into a running total associates differently from
-  // mergeAll's binary tree; the merge is a union of equivalence classes
-  // over exact statistics, so the bytes agree, not only the structure.
+  // The streaming merge folds batch totals, mergeAll folds ranks one at
+  // a time; the merge is a union of equivalence classes over exact
+  // statistics, so the bytes agree, not only the structure.
   cst::Tree tree;
   const MergedCtt viaStream = MergedCtt::deserializeWithTree(fx.golden, tree);
   const TraceDiff d = diffTraces(viaStream, *fx.viaMergeAll);
@@ -487,6 +487,36 @@ TEST(StreamingMerge, TornFinalWithSurvivingManifestVerifiesAndRepairs) {
       streamingMerge(fx.ranks.numRanks, fx.source(), *fx.ranks.cst, rmo);
   EXPECT_EQ(res.stepsExecuted, 0u);
   EXPECT_EQ(fileBytes(rmo.outPath), fx.golden);
+}
+
+TEST(StreamingMerge, ResumeAfterFinalReadsNoSpill) {
+  // A complete merge: FINAL is recorded and the output is intact. A
+  // resume has nothing to compute, so it leaves even a damaged spill
+  // alone and takes the result from the output.
+  const Fixture& fx = Fixture::get();
+  const std::string wd = freshDir("cyp_smerge_after_final");
+  StreamingMergeOptions mo = Fixture::baseOptions(wd);
+  mo.keepWorkDir = true;
+  mo.outPath = wd + ".out.cyp";
+  streamingMerge(fx.ranks.numRanks, fx.source(), *fx.ranks.cst, mo);
+  io::realIo().truncate(wd + "/b0.cysp", 10);
+
+  StreamingMergeOptions rmo = mo;
+  rmo.resume = true;
+  const auto res =
+      streamingMerge(fx.ranks.numRanks, fx.source(), *fx.ranks.cst, rmo);
+  EXPECT_EQ(res.stepsExecuted, 0u);
+  EXPECT_EQ(res.stepsResumed, 7u);
+  EXPECT_EQ(res.batches, 6u);
+  EXPECT_EQ(fs::file_size(wd + "/b0.cysp"), 10u);
+  EXPECT_EQ(res.merged.serialize(), fx.golden);
+  EXPECT_EQ(fileBytes(rmo.outPath), fx.golden);
+
+  // The output path is still checked against the FINAL record.
+  rmo.outPath = wd + ".other.cyp";
+  EXPECT_THROW(
+      streamingMerge(fx.ranks.numRanks, fx.source(), *fx.ranks.cst, rmo),
+      Error);
 }
 
 TEST(StreamingMerge, ResumeMayChangeThePlanButNotTheRanks) {

@@ -2,9 +2,10 @@
 // count below 1 is a usage error caught while parsing, so the command
 // fails fast with a message naming the flag, before it traces,
 // listens or writes anything. The same holds for every other numeric
-// flag of `cyptrace` given anything but decimal digits, or a value past
-// its bound (INT_MAX for int flags, 2^64-1 for --seed and merge's
-// unsigned flags).
+// flag of `cyptrace` and `cyptraced` given anything but decimal digits,
+// or a value past its bound (INT_MAX for int flags, 2^64-1 for --seed
+// and merge's unsigned flags), and for a job id that is not a number.
+// `cyptrace run` of an unknown workload is a usage error too.
 //
 // Also the read commands on a salvaged trace (one whose merge marked
 // some ranks lost): `stats` and `dump --otf` answer for the survivors
@@ -218,6 +219,64 @@ TEST(CliArgs, CyptraceRejectsMalformedNumericFlags) {
                      "18446744073709551615"});
   EXPECT_EQ(verify.exitCode, 0) << verify.stderrText;
   fs::remove(trace);
+}
+
+TEST(CliArgs, CyptracedRejectsMalformedNumericFlags) {
+  const std::string socket = tempPath("cyp-args-d.sock");
+  const std::string spool = tempPath("cyp-args-d-spool");
+  struct Case {
+    std::string flag;
+    std::vector<std::string> args;
+  };
+  auto serve = [&](const std::string& flag, const std::string& v) {
+    return Case{flag, {"serve", "--socket", socket, "--spool", spool, flag, v}};
+  };
+  auto submit = [&](const std::string& flag, const std::string& v) {
+    return Case{flag, {"submit", "--socket", socket, "JACOBI", "--procs", "4",
+                       flag, v}};
+  };
+  const std::vector<Case> bad = {
+      serve("--queue", "abc"),
+      serve("--concurrent", "0"),
+      serve("--concurrent", "2x"),
+      serve("--client-cap", "-1"),
+      serve("--attempts", "4294967296"),
+      serve("--deadline", "1.5"),
+      serve("--crash-after-segments", "x"),
+      submit("--scale", "abc"),
+      submit("--scale", "0"),
+      submit("--procs", "4x"),
+      submit("--attempts", "-2"),
+      submit("--deadline", "10ms"),
+      submit("--wait", "abc"),
+      {"--timeout", {"wait", "--socket", socket, "1", "--timeout", "soon"}},
+      {"job id", {"status", "--socket", socket, "x"}},
+      {"job id", {"wait", "--socket", socket, "1x"}},
+      {"job id", {"cancel", "--socket", socket, "18446744073709551616"}},
+  };
+  for (const Case& c : bad) {
+    const ChildRun run = runChild(CYPTRACED_BIN, c.args);
+    std::string argv;
+    for (const std::string& a : c.args) argv += " " + a;
+    EXPECT_EQ(run.exitCode, 2) << argv;
+    EXPECT_NE(run.stderrText.find(c.flag), std::string::npos)
+        << argv << ": " << run.stderrText;
+    EXPECT_FALSE(fs::exists(socket)) << argv;
+    EXPECT_FALSE(fs::exists(spool)) << argv;
+  }
+}
+
+TEST(CliArgs, CyptraceRunRejectsAnUnknownWorkload) {
+  const std::string out = tempPath("cyp-args-nope.cyp");
+  const ChildRun run = runChild(
+      CYPTRACE_BIN, {"run", "NOPE", "--procs", "4", "--out", out});
+  EXPECT_EQ(run.exitCode, 2);
+  EXPECT_NE(run.stderrText.find("unknown workload 'NOPE'"), std::string::npos)
+      << run.stderrText;
+  EXPECT_NE(run.stderrText.find("JACOBI"), std::string::npos)
+      << run.stderrText;  // the known workloads
+  EXPECT_TRUE(run.stdoutText.empty()) << run.stdoutText;
+  EXPECT_FALSE(fs::exists(out));
 }
 
 }  // namespace

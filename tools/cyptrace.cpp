@@ -64,17 +64,13 @@
 //       check byte stability and (with --fuzz) corruption-fuzz the
 //       deserializer.
 #include <algorithm>
-#include <charconv>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "cli.hpp"
 #include "cypress/decompress.hpp"
 #include "cypress/diff.hpp"
 #include "cypress/merge_stream.hpp"
@@ -153,51 +149,6 @@ struct Args {
   std::exit(2);
 }
 
-/// Parse an unsigned flag value of at most `max` (with `sizeSuffix` a
-/// trailing k/m/g scales it, as in "64m"). Anything but decimal digits,
-/// or a value past `max`, is a usage error naming the flag, raised
-/// before any work starts.
-uint64_t parseUnsigned(const std::string& flag, const std::string& v,
-                       uint64_t max = UINT64_MAX, bool sizeSuffix = false) {
-  std::string_view digits = v;
-  unsigned shift = 0;
-  if (sizeSuffix && !digits.empty()) {
-    switch (digits.back()) {
-      case 'k': case 'K': shift = 10; break;
-      case 'm': case 'M': shift = 20; break;
-      case 'g': case 'G': shift = 30; break;
-      default: break;
-    }
-    if (shift != 0) digits.remove_suffix(1);
-  }
-  uint64_t n = 0;
-  const char* end = digits.data() + digits.size();
-  const auto [ptr, ec] = std::from_chars(digits.data(), end, n);
-  if (ec != std::errc() || ptr != end || n > (max >> shift)) {
-    std::fprintf(stderr,
-                 "cyptrace: %s needs an unsigned integer%s up to %llu, "
-                 "got %s\n",
-                 flag.c_str(), sizeSuffix ? " (optionally k, m or g)" : "",
-                 static_cast<unsigned long long>(max), v.c_str());
-    std::exit(2);
-  }
-  return n << shift;
-}
-
-/// Parse an int flag of at least `min` — 1 for the counts (--procs,
-/// --threads, --scale), 0 for --rank, --limit and --fuzz — and at most
-/// INT_MAX; anything else is a usage error naming the flag, raised
-/// before any work starts.
-int parseCount(const std::string& flag, const std::string& v, int min = 1) {
-  const auto n = static_cast<int>(parseUnsigned(flag, v, INT_MAX));
-  if (n < min) {
-    std::fprintf(stderr, "cyptrace: %s must be at least %d, got %s\n",
-                 flag.c_str(), min, v.c_str());
-    std::exit(2);
-  }
-  return n;
-}
-
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 3) usage();
@@ -222,46 +173,47 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (flag == "--procs") a.procs = parseCount(flag, value());
-    else if (flag == "--scale") a.scale = parseCount(flag, value());
-    else if (flag == "--threads") a.threads = parseCount(flag, value());
-    else if (flag == "--rank") a.rank = parseCount(flag, value(), 0);
-    else if (flag == "--limit") a.limit = parseCount(flag, value(), 0);
+    auto count = [&](int min = 1) {
+      return cli::parseCount("cyptrace", flag, value(), min);
+    };
+    auto number = [&](bool sizeSuffix = false) {
+      return cli::parseUnsigned("cyptrace", flag, value(), UINT64_MAX,
+                                sizeSuffix);
+    };
+    if (flag == "--procs") a.procs = count();
+    else if (flag == "--scale") a.scale = count();
+    else if (flag == "--threads") a.threads = count();
+    else if (flag == "--rank") a.rank = count(0);
+    else if (flag == "--limit") a.limit = count(0);
     else if (flag == "--out") a.out = value();
     else if (flag == "--net") a.net = value();
     else if (flag == "--otf") a.otf = true;
-    else if (flag == "--fuzz") a.fuzz = parseCount(flag, value(), 0);
-    else if (flag == "--seed") a.seed = parseUnsigned(flag, value());
+    else if (flag == "--fuzz") a.fuzz = count(0);
+    else if (flag == "--seed") a.seed = number();
     else if (flag == "--fault") a.faultSpecs.push_back(value());
     else if (flag == "--journal") a.journal = value();
     else if (flag == "--salvage") a.salvage = true;
     else if (flag == "--emit-ranks") a.emitRanks = value();
-    else if (flag == "--merge-budget")
-      a.mergeBudget =
-          parseUnsigned(flag, value(), UINT64_MAX, /*sizeSuffix=*/true);
-    else if (flag == "--batch-ranks") a.batchRanks = parseUnsigned(flag, value());
+    else if (flag == "--merge-budget") a.mergeBudget = number(/*sizeSuffix=*/true);
+    else if (flag == "--batch-ranks") a.batchRanks = number();
     else if (flag == "--work-dir") a.workDir = value();
     else if (flag == "--resume") a.resume = true;
     else if (flag == "--degrade") a.degrade = true;
     else if (flag == "--keep-work") a.keepWork = true;
     else if (flag == "--io-fault") a.ioFaults.push_back(value());
-    else if (flag == "--crash-after-steps")
-      a.crashAfterSteps = parseUnsigned(flag, value());
+    else if (flag == "--crash-after-steps") a.crashAfterSteps = number();
     else usage();
   }
   return a;
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CYP_CHECK(in.good(), "cannot open " << path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+bool isWorkload(const std::string& target) {
+  const auto names = workloads::allNames();
+  return std::find(names.begin(), names.end(), target) != names.end();
 }
 
 std::vector<uint8_t> readBytes(const std::string& path) {
-  const std::string s = readFile(path);
+  const std::string s = cli::readFile(path);
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
@@ -295,9 +247,11 @@ driver::RunOutput runTarget(const Args& a, bool allTools) {
     opts.engine.faults.faults.push_back(simmpi::parseFaultSpec(spec));
   opts.withJournal = !a.journal.empty();
   opts.onStall = a.salvage ? vm::OnStall::Salvage : vm::OnStall::Throw;
-  if (a.target.size() > 3 &&
-      a.target.compare(a.target.size() - 3, 3, ".mc") == 0) {
-    return driver::runSource(a.target, readFile(a.target), opts);
+  if (cli::isSourceFile(a.target))
+    return driver::runSource(a.target, cli::readFile(a.target), opts);
+  if (!isWorkload(a.target)) {
+    std::fprintf(stderr, "cyptrace: unknown workload '%s'\n", a.target.c_str());
+    usage();
   }
   return driver::runWorkload(a.target, opts);
 }
@@ -549,14 +503,7 @@ int cmdCompare(const Args& a) {
 }
 
 int cmdVerify(const Args& a) {
-  const auto names = workloads::allNames();
-  const bool isSource =
-      a.target.size() > 3 &&
-      a.target.compare(a.target.size() - 3, 3, ".mc") == 0;
-  const bool isWorkload =
-      std::find(names.begin(), names.end(), a.target) != names.end();
-
-  if (isSource || isWorkload) {
+  if (cli::isSourceFile(a.target) || isWorkload(a.target)) {
     driver::RunOutput run = runTarget(a, /*allTools=*/true);
     const verify::Report rep = driver::verifyRun(run, a.threads);
     std::printf("%s, %d ranks, %zu events\n%s", a.target.c_str(), a.procs,

@@ -38,12 +38,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/socket.hpp"
@@ -81,6 +80,7 @@ struct Args {
   bool wait = false;
   uint64_t waitMs = 120'000;
   uint64_t timeoutMs = 120'000;
+  uint64_t jobId = 0;  ///< status, wait and cancel
 };
 
 [[noreturn]] void usage() {
@@ -99,17 +99,9 @@ struct Args {
   std::exit(2);
 }
 
-/// Parse a count flag that must be at least 1 (--procs, --threads);
-/// anything lower is a usage error naming the flag, raised before any
-/// work starts.
-int parseCount(const std::string& flag, const std::string& v) {
-  const int n = std::stoi(v);
-  if (n < 1) {
-    std::fprintf(stderr, "cyptraced: %s must be at least 1, got %s\n",
-                 flag.c_str(), v.c_str());
-    std::exit(2);
-  }
-  return n;
+/// status, wait and cancel act on the one job their target names.
+bool namesJob(const std::string& command) {
+  return command == "status" || command == "wait" || command == "cancel";
 }
 
 Args parse(int argc, char** argv) {
@@ -122,39 +114,40 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
+    auto count = [&] { return cli::parseCount("cyptraced", flag, value()); };
+    auto number = [&](uint64_t max = UINT64_MAX) {
+      return cli::parseUnsigned("cyptraced", flag, value(), max);
+    };
     if (flag == "--socket") a.socket = value();
     else if (flag == "--spool") a.spool = value();
     else if (flag == "--recover") a.recover = true;
-    else if (flag == "--queue") a.queue = std::stoull(value());
-    else if (flag == "--concurrent") a.concurrent = std::stoi(value());
-    else if (flag == "--client-cap") a.clientCap = std::stoull(value());
-    else if (flag == "--attempts") a.attempts = static_cast<uint32_t>(std::stoul(value()));
-    else if (flag == "--deadline") a.deadlineMs = std::stoull(value());
-    else if (flag == "--threads") a.threads = parseCount(flag, value());
-    else if (flag == "--crash-after-segments") a.crashAfterSegments = std::stoull(value());
-    else if (flag == "--procs") a.procs = parseCount(flag, value());
-    else if (flag == "--scale") a.scale = std::stoi(value());
+    else if (flag == "--queue") a.queue = number(SIZE_MAX);
+    else if (flag == "--concurrent") a.concurrent = count();
+    else if (flag == "--client-cap") a.clientCap = number(SIZE_MAX);
+    else if (flag == "--attempts")
+      a.attempts = static_cast<uint32_t>(number(UINT32_MAX));
+    else if (flag == "--deadline") a.deadlineMs = number();
+    else if (flag == "--threads") a.threads = count();
+    else if (flag == "--crash-after-segments") a.crashAfterSegments = number();
+    else if (flag == "--procs") a.procs = count();
+    else if (flag == "--scale") a.scale = count();
     else if (flag == "--kind") a.kind = value();
     else if (flag == "--query") a.querySpec = value();
     else if (flag == "--fault") a.faultSpecs.push_back(value());
     else if (flag == "--transient-faults") a.transientFaults = true;
     else if (flag == "--wait") {
       a.wait = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') a.waitMs = std::stoull(argv[++i]);
+      if (i + 1 < argc && argv[i + 1][0] != '-') a.waitMs = number();
     }
-    else if (flag == "--timeout") a.timeoutMs = std::stoull(value());
+    else if (flag == "--timeout") a.timeoutMs = number();
     else if (!flag.empty() && flag[0] != '-' && a.target.empty()) a.target = flag;
     else usage();
   }
+  if (namesJob(a.command)) {
+    if (a.target.empty()) usage();
+    a.jobId = cli::parseUnsigned("cyptraced", "job id", a.target);
+  }
   return a;
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CYP_CHECK(in.good(), "cannot open " << path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 void printStatus(const service::JobStatus& s) {
@@ -225,9 +218,8 @@ int cmdSubmit(const Args& a) {
   else usage();
   if (spec.kind == service::JobKind::Query && a.querySpec.empty()) usage();
   spec.target = a.target;
-  if (spec.kind == service::JobKind::Run && a.target.size() > 3 &&
-      a.target.compare(a.target.size() - 3, 3, ".mc") == 0)
-    spec.sourceText = readFile(a.target);
+  if (spec.kind == service::JobKind::Run && cli::isSourceFile(a.target))
+    spec.sourceText = cli::readFile(a.target);
   spec.procs = static_cast<uint32_t>(a.procs);
   spec.scale = static_cast<uint32_t>(a.scale);
   spec.faultSpecs = a.faultSpecs;
@@ -257,46 +249,22 @@ int cmdSubmit(const Args& a) {
   return exitForState(s->state);
 }
 
-uint64_t parseJobId(const Args& a) {
-  if (a.target.empty()) usage();
-  return std::stoull(a.target);
-}
-
-int cmdStatus(const Args& a) {
+/// The job's state once the status, wait or cancel request returns.
+int cmdJob(const Args& a) {
   service::Client client(a.socket);
-  auto s = client.status(parseJobId(a));
+  const auto s = a.command == "status" ? client.status(a.jobId)
+                 : a.command == "wait" ? client.wait(a.jobId, a.timeoutMs)
+                                       : client.cancel(a.jobId);
   if (!s) {
     std::fprintf(stderr, "no such job\n");
     return 1;
   }
   printStatus(*s);
-  return isTerminal(s->state) ? exitForState(s->state) : 0;
-}
-
-int cmdWait(const Args& a) {
-  service::Client client(a.socket);
-  auto s = client.wait(parseJobId(a), a.timeoutMs);
-  if (!s) {
-    std::fprintf(stderr, "no such job\n");
-    return 1;
-  }
-  printStatus(*s);
-  if (!isTerminal(s->state)) {
-    std::fprintf(stderr, "timed out\n");
-    return 5;
-  }
-  return exitForState(s->state);
-}
-
-int cmdCancel(const Args& a) {
-  service::Client client(a.socket);
-  auto s = client.cancel(parseJobId(a));
-  if (!s) {
-    std::fprintf(stderr, "no such job\n");
-    return 1;
-  }
-  printStatus(*s);
-  return 0;
+  if (a.command == "cancel") return 0;
+  if (isTerminal(s->state)) return exitForState(s->state);
+  if (a.command == "status") return 0;
+  std::fprintf(stderr, "timed out\n");
+  return 5;
 }
 
 int cmdList(const Args& a) {
@@ -338,9 +306,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned>(std::max(2, a.concurrent + 1)));
     if (a.command == "serve") return cmdServe(a);
     if (a.command == "submit") return cmdSubmit(a);
-    if (a.command == "status") return cmdStatus(a);
-    if (a.command == "wait") return cmdWait(a);
-    if (a.command == "cancel") return cmdCancel(a);
+    if (namesJob(a.command)) return cmdJob(a);
     if (a.command == "list") return cmdList(a);
     if (a.command == "counters") return cmdCounters(a);
     if (a.command == "shutdown") return cmdShutdown(a);
