@@ -173,65 +173,8 @@ std::vector<uint8_t> detail::compressBlock(std::span<const uint8_t> data,
 
 namespace {
 
-/// Decode one block (kind already consumed) appending exactly `expect`
-/// bytes to `out`. Back-references never reach past the block's own
-/// start: every block resets the LZ77 window.
-void decompressBlockInto(uint8_t kind, ByteReader& r, std::vector<uint8_t>& out,
-                         uint64_t expect) {
-  const size_t base = out.size();
-  if (kind == kBlockStored) {
-    // Stored block: the payload IS the original, so a size prefix that
-    // disagrees with the bytes actually present is corrupt — and must
-    // not become an allocation.
-    CYP_CHECK(expect == r.remaining(),
-              "flate: stored block has " << r.remaining()
-                                         << " bytes but header claims "
-                                         << expect);
-    auto raw = r.raw(expect);
-    out.insert(out.end(), raw.begin(), raw.end());
-    return;
-  }
-  CYP_CHECK(kind == kBlockHuffman, "flate: unknown block kind " << int(kind));
-  // The size prefix is untrusted until the stream proves it: cap the
-  // speculative reserve and let push_back grow past it if the data
-  // really is that large. Every emit below is bounded by `expect`, so
-  // corrupt streams cannot balloon the output.
-  out.reserve(base + std::min<uint64_t>(expect, 1u << 20));
-  const auto litLens = readLengths(r, kNumLitLen);
-  const auto distLens = readLengths(r, kNumDist);
-  HuffmanDecoder litDec(litLens), distDec(distLens);
-  const uint64_t nbits = r.uv();
-  BitReader br(r.raw(nbits));
-  while (true) {
-    const int sym = litDec.decode(br);
-    if (sym == kEob) break;
-    if (sym < 256) {
-      CYP_CHECK(out.size() - base < expect,
-                "flate: output exceeds declared size " << expect);
-      out.push_back(static_cast<uint8_t>(sym));
-      continue;
-    }
-    const int ls = sym - 257;
-    CYP_CHECK(ls >= 0 && ls < 29, "flate: bad length symbol " << sym);
-    uint32_t len = kLenBase[ls];
-    if (kLenExtra[ls]) len += br.get(kLenExtra[ls]);
-    const int ds = distDec.decode(br);
-    CYP_CHECK(ds >= 0 && ds < 30, "flate: bad distance symbol " << ds);
-    uint32_t dist = kDistBase[ds];
-    if (kDistExtra[ds]) dist += br.get(kDistExtra[ds]);
-    CYP_CHECK(dist <= out.size() - base, "flate: back-reference before start");
-    CYP_CHECK(len <= expect - (out.size() - base),
-              "flate: output exceeds declared size " << expect);
-    size_t from = out.size() - dist;
-    for (uint32_t i = 0; i < len; ++i) out.push_back(out[from + i]);
-  }
-  CYP_CHECK(out.size() - base == expect,
-            "flate: block decoded to " << out.size() - base
-                                       << " bytes, expected " << expect);
-}
-
-// Plausibility bounds used to vet framed shard headers before the
-// parallel path preallocates the whole output. A Huffman block payload
+// Plausibility bounds used to vet every shard header before the
+// decoder preallocates the whole output. A Huffman block payload
 // is at least the kind byte, the two nibble-packed code-length tables
 // (ceil(286/2) + ceil(30/2) bytes) and the bit-count varint; and each
 // payload byte holds at most 8 literal codes (8 bytes out) or 4 minimal
@@ -241,12 +184,15 @@ constexpr size_t kMinHuffmanPayload = 1 + 143 + 15 + 1;
 constexpr uint64_t kMaxExpansion = 1032;
 
 /// Decode one block (kind already consumed) into the caller's
-/// `expect`-byte slice `dst`. Same stream format and checks as
-/// decompressBlockInto, but writing to preallocated memory so framed
-/// shards can decode concurrently into disjoint slices.
+/// `expect`-byte slice `dst`, which it must fill exactly. Back-references
+/// never reach past the slice's start: every block resets the LZ77
+/// window, so the shards of a framed container decode concurrently into
+/// disjoint slices.
 void decompressBlockToSlice(uint8_t kind, ByteReader& r, uint8_t* dst,
                             uint64_t expect) {
   if (kind == kBlockStored) {
+    // Stored block: the payload IS the original, so a size prefix that
+    // disagrees with the bytes actually present is corrupt.
     CYP_CHECK(expect == r.remaining(),
               "flate: stored block has " << r.remaining()
                                          << " bytes but header claims "
@@ -282,7 +228,7 @@ void decompressBlockToSlice(uint8_t kind, ByteReader& r, uint8_t* dst,
     CYP_CHECK(len <= expect - n,
               "flate: output exceeds declared size " << expect);
     // Byte-by-byte on purpose: the source may overlap the destination
-    // (dist < len repeats the pattern), exactly like the vector path.
+    // (dist < len repeats the pattern).
     const size_t from = static_cast<size_t>(n - dist);
     for (uint32_t i = 0; i < len; ++i) dst[n++] = dst[from + i];
   }
@@ -403,60 +349,68 @@ std::vector<uint8_t> decompress(std::span<const uint8_t> data, int threads) {
   const uint64_t originalSize = r.uv();
   const uint32_t crc = r.u32fixed();
 
-  std::vector<uint8_t> out;
+  // A single-block container is a one-shard frame whose payload runs to
+  // the end of the input. A framed container lists its shards
+  // length-prefixed. Either way every shard header is vetted against the
+  // plausibility bounds above before the declared size is trusted enough
+  // to allocate, so a corrupt header cannot turn a tiny input into a
+  // huge up-front allocation; the shards then inflate into disjoint
+  // fixed slices of the output, as independent decode tasks.
+  struct Shard {
+    std::span<const uint8_t> payload;
+    uint64_t expect = 0;
+  };
+  std::vector<Shard> shards;
   if (originalSize > 0) {
-    const uint8_t kind = r.u8();
-    if (kind == kBlockFramed) {
+    const size_t blockStart = data.size() - r.remaining();
+    if (r.u8() == kBlockFramed) {
       const uint64_t nShards = r.checkedCount(r.uv(), 1);
       CYP_CHECK(nShards == (originalSize + kShardBytes - 1) / kShardBytes,
                 "flate: framed container has " << nShards
                                                << " shards for declared size "
                                                << originalSize);
-      // Shards write into disjoint fixed slices of the output, so they
-      // are independent decode tasks. Walk every shard header first and
-      // vet it against the plausibility bounds above — only then is the
-      // declared size trusted enough to allocate, so a corrupt header
-      // cannot turn a tiny input into a huge up-front allocation.
-      struct Shard {
-        std::span<const uint8_t> payload;
-        uint64_t expect = 0;
-      };
-      std::vector<Shard> shards(nShards);
+      shards.resize(nShards);
       for (uint64_t i = 0; i < nShards; ++i) {
-        const uint64_t expect =
+        shards[i].payload = r.raw(r.checkedCount(r.uv(), 1));
+        shards[i].expect =
             std::min<uint64_t>(kShardBytes, originalSize - i * kShardBytes);
-        const auto payload = r.raw(r.checkedCount(r.uv(), 1));
-        CYP_CHECK(!payload.empty(), "flate: empty shard " << i);
-        if (payload[0] == kBlockStored) {
-          CYP_CHECK(payload.size() - 1 == expect,
-                    "flate: stored block has " << payload.size() - 1
-                                               << " bytes but header claims "
-                                               << expect);
-        } else {
-          CYP_CHECK(payload[0] == kBlockHuffman,
-                    "flate: unknown block kind " << int(payload[0]));
-          CYP_CHECK(payload.size() >= kMinHuffmanPayload,
-                    "flate: huffman shard " << i << " truncated ("
-                                            << payload.size() << " bytes)");
-          CYP_CHECK(expect <= kMaxExpansion * payload.size(),
-                    "flate: shard " << i << " claims implausible expansion");
-        }
-        shards[i] = {payload, expect};
       }
-      out.resize(originalSize);
-      parallelFor(nShards, threads, [&](size_t i) {
-        ByteReader shard(shards[i].payload);
-        const uint8_t shardKind = shard.u8();
-        decompressBlockToSlice(shardKind, shard, out.data() + i * kShardBytes,
-                               shards[i].expect);
-        CYP_CHECK(shard.atEnd(), "flate: trailing bytes in shard " << i);
-      });
     } else {
-      decompressBlockInto(kind, r, out, originalSize);
+      CYP_CHECK(originalSize <= kShardBytes,
+                "flate: single-block container declares " << originalSize
+                                                          << " bytes");
+      shards.push_back({data.subspan(blockStart), originalSize});
+      r.raw(r.remaining());
     }
   }
-  CYP_CHECK(out.size() == originalSize,
-            "flate: size mismatch " << out.size() << " vs " << originalSize);
+  CYP_CHECK(r.atEnd(), "flate: trailing bytes after the last block");
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const auto payload = shards[i].payload;
+    const uint64_t expect = shards[i].expect;
+    CYP_CHECK(!payload.empty(), "flate: empty shard " << i);
+    if (payload[0] == kBlockStored) {
+      CYP_CHECK(payload.size() - 1 == expect,
+                "flate: stored block has " << payload.size() - 1
+                                           << " bytes but header claims "
+                                           << expect);
+    } else {
+      CYP_CHECK(payload[0] == kBlockHuffman,
+                "flate: unknown block kind " << int(payload[0]));
+      CYP_CHECK(payload.size() >= kMinHuffmanPayload,
+                "flate: huffman shard " << i << " truncated ("
+                                        << payload.size() << " bytes)");
+      CYP_CHECK(expect <= kMaxExpansion * payload.size(),
+                "flate: shard " << i << " claims implausible expansion");
+    }
+  }
+  std::vector<uint8_t> out(originalSize);
+  parallelFor(shards.size(), threads, [&](size_t i) {
+    ByteReader shard(shards[i].payload);
+    const uint8_t shardKind = shard.u8();
+    decompressBlockToSlice(shardKind, shard, out.data() + i * kShardBytes,
+                           shards[i].expect);
+    CYP_CHECK(shard.atEnd(), "flate: trailing bytes in shard " << i);
+  });
   CYP_CHECK(crc32(out) == crc, "flate: CRC mismatch");
   return out;
 }

@@ -18,6 +18,9 @@
 // independent tasks, so compression parallelizes across them — and
 // because the shard boundaries depend only on the input size, the
 // output is byte-identical for every thread count.
+//
+// A container ends at its last block: decompress() rejects any byte
+// after it, as after the CRC of an empty input.
 #pragma once
 
 #include <cstdint>

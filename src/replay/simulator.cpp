@@ -1,13 +1,13 @@
 #include "replay/simulator.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <sstream>
 
 #include "cypress/decompress.hpp"
 #include "cypress/merge.hpp"
 #include "query/engine.hpp"
+#include "simmpi/collective.hpp"
 #include "support/error.hpp"
 
 namespace cypress::replay {
@@ -420,27 +420,9 @@ class Sim {
     return true;
   }
 
-  /// One collective instance. Its members' clocks do not move while it
-  /// is pending (chargeCompute is idempotent per event), so the running
-  /// max of the arrival clocks is all the per-member state it needs.
-  struct Collective {
-    ir::MpiOp op = ir::MpiOp::Barrier;
-    int64_t bytes = 0;
-    int arrived = 0;
-    int consumed = 0;  // members that took the result
-    bool done = false;
-    uint64_t maxArrival = 0;
-    uint64_t finish = 0;
-    std::map<int, int32_t> splitResult;  // world rank -> new comm handle
-  };
-
-  /// The live instances of one communicator: instance `base` first.
-  /// An instance every member has consumed is popped from the front.
-  struct CommCollectives {
-    std::deque<Collective> live;
-    int base = 0;
-  };
-
+  /// A collective's members' clocks do not move while it is pending
+  /// (chargeCompute is idempotent per event), so each clock still reads
+  /// the member's arrival time when the instance finishes.
   bool stepCollective(int r, const Event& e) {
     chargeCompute(r, e);
     const auto rr = static_cast<size_t>(r);
@@ -449,74 +431,42 @@ class Sim {
       const std::vector<int>& members = commMembers(e.comm);
       CYP_CHECK(std::binary_search(members.begin(), members.end(), r),
                 "replay: rank " << r << " not in communicator " << e.comm);
+      const int size = static_cast<int>(members.size());
       const int mySeq = collSeq_[rr][e.comm]++;
-      Collective& c = slot(e.comm, mySeq);
-      if (c.arrived == 0) {
-        c.op = e.op;
-        c.bytes = e.op == ir::MpiOp::CommSplit ? 0 : e.bytes;
-      } else {
-        CYP_CHECK(c.op == e.op &&
-                      (e.op == ir::MpiOp::CommSplit || c.bytes == e.bytes),
-                  "replay: collective mismatch at " << ir::mpiOpName(e.op));
-      }
-      c.maxArrival = std::max(c.maxArrival, clock_[rr]);
-      if (e.op == ir::MpiOp::CommSplit) {
-        // The recorded result handle defines the group membership; the
-        // replay rebuilds comms from it rather than recomputing.
-        c.splitResult[r] = static_cast<int32_t>(e.reqId);
-      }
-      ++c.arrived;
-      if (c.arrived == static_cast<int>(members.size())) {
-        const ir::MpiOp costOp =
-            e.op == ir::MpiOp::CommSplit ? ir::MpiOp::Barrier : e.op;
-        c.finish = c.maxArrival +
-                   net_.collectiveCost(costOp, c.bytes,
-                                       static_cast<int>(members.size()));
-        c.done = true;
-        if (e.op == ir::MpiOp::CommSplit) {
-          // Group members by recorded handle.
-          std::map<int32_t, std::vector<int>> groups;
-          for (int m : members) {
-            auto it = c.splitResult.find(m);
-            if (it != c.splitResult.end() && it->second >= 0)
-              groups[it->second].push_back(m);
-          }
-          for (auto& [id, ranks] : groups) {
-            std::sort(ranks.begin(), ranks.end());
-            commMembers_[id] = ranks;
-          }
-        }
+      simmpi::Collective& c = colls_.at(e.comm, mySeq);
+      CYP_CHECK(c.arrive(e.op, e.bytes, e.peer, clock_[rr]) ==
+                    simmpi::Collective::Mismatch::None,
+                "replay: collective mismatch at " << ir::mpiOpName(e.op));
+      // The recorded result handle defines the group membership; the
+      // replay rebuilds comms from it rather than recomputing.
+      if (e.op == ir::MpiOp::CommSplit)
+        c.split.push_back({r, static_cast<int32_t>(e.bytes),
+                           static_cast<int32_t>(e.reqId)});
+      if (c.arrived == size) {
+        c.finish(c.cost(net_, size));
+        if (e.op == ir::MpiOp::CommSplit) rebuildSplit(c);
       }
       pendingColl_[rr] = mySeq;
       pendingCollComm_[rr] = e.comm;
     }
     const int comm = pendingCollComm_[rr];
-    Collective& c = slot(comm, pendingColl_[rr]);
+    const simmpi::Collective& c = colls_.at(comm, pendingColl_[rr]);
     if (!c.done) return false;
-    // The clock still reads the arrival time (see Collective).
-    comm_[rr] += c.finish - clock_[rr];
-    clock_[rr] = c.finish;
-    ++c.consumed;
-    retire(comm);
+    comm_[rr] += c.finishNs - clock_[rr];
+    clock_[rr] = c.finishNs;
+    colls_.consume(comm, pendingColl_[rr]);
     pendingColl_[rr] = -1;
     return finishEvent(r);
   }
 
-  Collective& slot(int comm, int seq) {
-    CommCollectives& cc = colls_[comm];
-    CYP_CHECK(seq >= cc.base, "replay: collective sequence went backwards");
-    const auto i = static_cast<size_t>(seq - cc.base);
-    while (i >= cc.live.size()) cc.live.emplace_back();
-    return cc.live[i];
-  }
-
-  /// Pop the instances of `comm` that every member has consumed.
-  void retire(int comm) {
-    CommCollectives& cc = colls_[comm];
-    while (!cc.live.empty() && cc.live.front().done &&
-           cc.live.front().consumed == cc.live.front().arrived) {
-      cc.live.pop_front();
-      ++cc.base;
+  /// Group a finished CommSplit's members by their recorded handles.
+  void rebuildSplit(const simmpi::Collective& c) {
+    std::map<int32_t, std::vector<int>> groups;
+    for (const simmpi::SplitArrival& a : c.split)
+      if (a.result >= 0) groups[a.result].push_back(a.member);
+    for (auto& [id, ranks] : groups) {
+      std::sort(ranks.begin(), ranks.end());
+      commMembers_[id] = std::move(ranks);
     }
   }
 
@@ -540,7 +490,7 @@ class Sim {
   std::vector<int32_t> resolved_;  // Waitall: channel per request, or kNone
   std::vector<std::vector<OutstandingReq>> outstanding_;
   std::vector<std::map<int, int>> collSeq_;
-  std::map<int, CommCollectives> colls_;
+  simmpi::Rendezvous colls_;
   std::vector<int64_t> computeChargedIdx_;
   std::vector<int> pendingColl_;
   std::vector<int> pendingCollComm_;

@@ -20,9 +20,11 @@
 //   - p2p channels live in one flat table: an open-addressing index
 //     from (src, dst, tag, comm) into a vector of channels, each a
 //     queue of message avail times that is reset when it drains;
-//   - a collective instance holds O(1) state (arrival count, running
-//     max of arrival clocks, finish time) and is dropped once every
-//     member has consumed it.
+//   - collectives meet in the rendezvous the simulated MPI engine uses
+//     (simmpi/collective.hpp): an instance holds O(1) state (arrival
+//     count, running max of arrival clocks, finish time) and is dropped
+//     once every member has consumed it. Only the cost differs: replay
+//     prices it without the engine's jitter.
 //
 // Waitall events carry no matched sources, so a wildcard receive
 // completed by a Waitall is resolved heuristically: to the lowest

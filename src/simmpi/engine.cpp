@@ -158,51 +158,62 @@ bool Engine::tryMatchRecv(int rank, int64_t reqIdx) {
   return true;
 }
 
-Engine::Collective& Engine::collectiveSlot(int comm, int seq) {
-  auto& dq = collectives_[comm];
-  const int base = collBase_[comm];
-  CYP_CHECK(seq >= base, "collective sequence went backwards");
-  while (static_cast<size_t>(seq - base) >= dq.size()) {
-    Collective c;
-    c.arrivals.resize(ranks_.size());
-    dq.push_back(std::move(c));
-  }
-  return dq[static_cast<size_t>(seq - base)];
+Engine::Request Engine::requestOf(const OpDesc& d) {
+  Request q;
+  q.kind = d.op;
+  q.peer = d.peer;
+  q.bytes = d.bytes;
+  q.tag = d.tag;
+  q.comm = d.comm;
+  q.postSite = d.callSiteId;
+  return q;
 }
 
-void Engine::consumeCollective(int comm, int seq) {
-  auto& dq = collectives_.at(comm);
-  int& base = collBase_.at(comm);
-  ++dq[static_cast<size_t>(seq - base)].consumed;
-  while (!dq.empty() && dq.front().done &&
-         dq.front().consumed == dq.front().arrived) {
-    dq.pop_front();
-    ++base;
+trace::Event Engine::requestEvent(ir::MpiOp op, const Request& q,
+                                  int32_t callSite) {
+  trace::Event e;
+  e.op = op;
+  e.peer = q.peer;
+  e.bytes = q.bytes;
+  e.tag = q.tag;
+  e.comm = q.comm;
+  e.callSiteId = callSite;
+  switch (op) {
+    case ir::MpiOp::Wait:
+    case ir::MpiOp::Waitany:
+    case ir::MpiOp::Waitsome:
+      e.reqId = q.postSite;
+      [[fallthrough]];
+    case ir::MpiOp::Recv:
+      if (q.peer == trace::kAnySource) e.matchedSource = q.matchedSource;
+      break;
+    default:
+      break;
   }
+  return e;
 }
 
-void Engine::completeSplit(int comm, Collective& c) {
+void Engine::completeSplit(Collective& c) {
   // Deterministic group formation: distinct non-negative colors in
-  // ascending order each get the next communicator id; members ordered
-  // by (key, world rank).
-  const std::vector<int>& parent = comms_[static_cast<size_t>(comm)];
-  std::map<int32_t, std::vector<std::pair<int32_t, int>>> groups;
-  for (int member : parent) {
-    const auto& [color, key] = c.splitArgs[static_cast<size_t>(member)];
-    if (color >= 0) groups[color].push_back({key, member});
+  // ascending order each get the next communicator id, whose members are
+  // listed in world-rank order. Sorting the arrivals by member makes the
+  // result independent of the arrival order, and lets each member find
+  // its handle by binary search.
+  std::sort(c.split.begin(), c.split.end(),
+            [](const SplitArrival& a, const SplitArrival& b) {
+              return a.member < b.member;
+            });
+  std::map<int32_t, int32_t> ids;  // color -> new communicator id
+  for (const SplitArrival& a : c.split)
+    if (a.color >= 0) ids.emplace(a.color, 0);
+  for (auto& [color, id] : ids) {
+    id = static_cast<int32_t>(comms_.size());
+    comms_.emplace_back();
   }
-  c.splitResult.assign(ranks_.size(), -1);
-  for (auto& [color, members] : groups) {
-    std::sort(members.begin(), members.end());
-    const int id = static_cast<int>(comms_.size());
-    std::vector<int> worldRanks;
-    worldRanks.reserve(members.size());
-    for (const auto& [key, member] : members) {
-      worldRanks.push_back(member);
-      c.splitResult[static_cast<size_t>(member)] = id;
-    }
-    std::sort(worldRanks.begin(), worldRanks.end());
-    comms_.push_back(std::move(worldRanks));
+  for (SplitArrival& a : c.split) {
+    if (a.color < 0) continue;
+    a.result = ids.at(a.color);
+    comms_[static_cast<size_t>(a.result)].push_back(a.member);
   }
 }
 
@@ -212,70 +223,30 @@ OpStatus Engine::handleCollective(int rank, const OpDesc& d) {
   CYP_CHECK(std::binary_search(members.begin(), members.end(), rank),
             "rank " << rank << " called " << ir::mpiOpName(d.op)
                     << " on communicator " << d.comm << " it is not part of");
+  // completeSplit may grow comms_, which `members` points into.
+  const int size = static_cast<int>(members.size());
   if (r.collSeq.size() <= static_cast<size_t>(d.comm))
     r.collSeq.resize(static_cast<size_t>(d.comm) + 1, 0);
   const int seq = r.collSeq[static_cast<size_t>(d.comm)]++;
-  Collective& c = collectiveSlot(d.comm, seq);
-
-  if (c.arrived == 0) {
-    c.op = d.op;
-    c.bytes = d.bytes;
-    c.root = d.peer;
-    if (d.op == ir::MpiOp::CommSplit)
-      c.splitArgs.assign(ranks_.size(), {0, 0});
-  } else {
-    CYP_CHECK(c.op == d.op, "collective mismatch: rank " << rank << " called "
-                                << ir::mpiOpName(d.op) << " where others called "
-                                << ir::mpiOpName(c.op));
-    if (d.op != ir::MpiOp::CommSplit) {
-      CYP_CHECK(c.bytes == d.bytes, "collective size mismatch on "
-                                        << ir::mpiOpName(d.op));
-      CYP_CHECK(c.root == d.peer, "collective root mismatch on "
-                                      << ir::mpiOpName(d.op));
-    }
-  }
-  c.arrivals[static_cast<size_t>(rank)] = {r.clock, d.callSiteId};
-  if (d.op == ir::MpiOp::CommSplit)
-    c.splitArgs[static_cast<size_t>(rank)] = {d.color, d.key};
-  ++c.arrived;
-
-  if (c.arrived == static_cast<int>(members.size())) {
-    uint64_t t0 = 0;
-    for (int m : members)
-      t0 = std::max(t0, c.arrivals[static_cast<size_t>(m)]->first);
-    const ir::MpiOp costOp =
-        d.op == ir::MpiOp::CommSplit ? ir::MpiOp::Barrier : d.op;
-    c.finishNs = t0 + jittered(net_.collectiveCost(
-                                   costOp, d.bytes,
-                                   static_cast<int>(members.size())),
-                               rank);
-    c.done = true;
-    if (d.op == ir::MpiOp::CommSplit) completeSplit(d.comm, c);
-    // Complete this rank inline; the others complete via poll().
-    const uint64_t arrive = c.arrivals[static_cast<size_t>(rank)]->first;
-    r.clock = c.finishNs;
-    trace::Event e;
-    e.op = d.op;
-    e.peer = d.peer;
-    e.bytes = d.bytes;
-    e.comm = d.comm;
-    e.callSiteId = d.callSiteId;
-    if (d.op == ir::MpiOp::CommSplit) {
-      e.bytes = d.color;
-      e.tag = d.key;
-      e.reqId = c.splitResult[static_cast<size_t>(rank)];
-      r.opResult = e.reqId;
-    }
-    emit(rank, e, c.finishNs - arrive);
-    consumeCollective(d.comm, seq);
-    return OpStatus::Complete;
-  }
-
-  r.pending.kind = PendingKind::Collective;
-  r.pending.desc = d;
-  r.pending.reqIdx = seq;
-  r.pending.blockStartNs = r.clock;
-  return OpStatus::Blocked;
+  Collective& c = rendezvous_.at(d.comm, seq);
+  const Collective::Mismatch m = c.arrive(d.op, d.bytes, d.peer, r.clock);
+  CYP_CHECK(m != Collective::Mismatch::Op,
+            "collective mismatch: rank " << rank << " called "
+                                         << ir::mpiOpName(d.op)
+                                         << " where others called "
+                                         << ir::mpiOpName(c.op));
+  CYP_CHECK(m != Collective::Mismatch::Bytes,
+            "collective size mismatch on " << ir::mpiOpName(d.op));
+  CYP_CHECK(m != Collective::Mismatch::Root,
+            "collective root mismatch on " << ir::mpiOpName(d.op));
+  if (d.op == ir::MpiOp::CommSplit) c.split.push_back({rank, d.color});
+  r.pending = PendingOp{PendingKind::Collective, d, seq, r.clock};
+  if (c.arrived < size) return OpStatus::Blocked;
+  // The last arrival finishes the instance and completes like a poll.
+  c.finish(jittered(c.cost(net_, size), rank));
+  if (d.op == ir::MpiOp::CommSplit) completeSplit(c);
+  completePending(rank);
+  return OpStatus::Complete;
 }
 
 bool Engine::maybeKill(int rank, const OpDesc& d) {
@@ -315,26 +286,13 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       const uint64_t cost = jittered(net_.sendOverhead(d.bytes), rank);
       r.clock += cost;
       injectSendFaults(rank, m);
-      trace::Event e;
-      e.op = d.op;
-      e.peer = d.peer;
-      e.bytes = d.bytes;
-      e.tag = d.tag;
-      e.comm = d.comm;
-      e.callSiteId = d.callSiteId;
-      emit(rank, e, cost);
+      emit(rank, requestEvent(d.op, requestOf(d), d.callSiteId), cost);
       return OpStatus::Complete;
     }
     case ir::MpiOp::Isend: {
       CYP_CHECK(d.peer >= 0 && d.peer < numRanks(),
                 "Isend to invalid rank " << d.peer);
-      Request req;
-      req.kind = ir::MpiOp::Isend;
-      req.peer = d.peer;
-      req.bytes = d.bytes;
-      req.tag = d.tag;
-      req.comm = d.comm;
-      req.postSite = d.callSiteId;
+      Request req = requestOf(d);
       req.complete = true;  // eager: buffer reusable after local copy
       req.completeNs = r.clock + jittered(net_.sendOverhead(d.bytes), rank);
       const int64_t id = r.requests.add(req);
@@ -345,48 +303,22 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       injectSendFaults(rank, m);
       const uint64_t cost = static_cast<uint64_t>(net_.overheadNs);
       r.clock += cost;
-      trace::Event e;
-      e.op = d.op;
-      e.peer = d.peer;
-      e.bytes = d.bytes;
-      e.tag = d.tag;
-      e.comm = d.comm;
-      e.callSiteId = d.callSiteId;
-      emit(rank, e, cost);
+      emit(rank, requestEvent(d.op, req, d.callSiteId), cost);
       return OpStatus::Complete;
     }
     case ir::MpiOp::Irecv: {
-      Request req;
-      req.kind = ir::MpiOp::Irecv;
-      req.peer = d.peer;  // may be kAnySource
-      req.bytes = d.bytes;
-      req.tag = d.tag;
-      req.comm = d.comm;
-      req.postSite = d.callSiteId;
+      const Request req = requestOf(d);  // the peer may be kAnySource
       const int64_t id = r.requests.add(req);
       r.outstanding.push_back(id);
       if (reqIdOut) *reqIdOut = id;
       if (!tryMatchRecv(rank, id)) r.pendingRecvs.push_back(id);
       const uint64_t cost = static_cast<uint64_t>(net_.overheadNs);
       r.clock += cost;
-      trace::Event e;
-      e.op = d.op;
-      e.peer = d.peer;
-      e.bytes = d.bytes;
-      e.tag = d.tag;
-      e.comm = d.comm;
-      e.callSiteId = d.callSiteId;
-      emit(rank, e, cost);
+      emit(rank, requestEvent(d.op, req, d.callSiteId), cost);
       return OpStatus::Complete;
     }
     case ir::MpiOp::Recv: {
-      Request req;
-      req.kind = ir::MpiOp::Recv;
-      req.peer = d.peer;
-      req.bytes = d.bytes;
-      req.tag = d.tag;
-      req.comm = d.comm;
-      req.postSite = d.callSiteId;
+      Request req = requestOf(d);
       req.consumed = true;  // not visible to Waitall/Waitany
       const int64_t id = r.requests.add(req);
       r.pending.kind = PendingKind::Recv;
@@ -465,11 +397,10 @@ bool Engine::pendingSatisfied(int rank) {
         if (r.requests[id].complete) return true;
       return false;
     }
-    case PendingKind::Collective: {
-      const auto& dq = collectives_.at(r.pending.desc.comm);
-      const int base = collBase_.at(r.pending.desc.comm);
-      return dq[static_cast<size_t>(r.pending.reqIdx - base)].done;
-    }
+    case PendingKind::Collective:
+      return rendezvous_
+          .at(r.pending.desc.comm, static_cast<int>(r.pending.reqIdx))
+          .done;
   }
   return false;
 }
@@ -488,15 +419,8 @@ void Engine::completePending(int rank) {
           std::max(req.completeNs, r.clock) + net_.recvOverhead(req.bytes);
       const uint64_t duration = done - p.blockStartNs;
       r.clock = done;
-      trace::Event e;
-      e.op = ir::MpiOp::Recv;
-      e.peer = p.desc.peer;
-      e.bytes = req.bytes;
-      e.tag = req.tag;
-      e.comm = req.comm;
-      e.callSiteId = p.desc.callSiteId;
-      if (p.desc.peer == trace::kAnySource) e.matchedSource = req.matchedSource;
-      emit(rank, e, duration);
+      emit(rank, requestEvent(ir::MpiOp::Recv, req, p.desc.callSiteId),
+           duration);
       return;
     }
     case PendingKind::Wait: {
@@ -509,17 +433,8 @@ void Engine::completePending(int rank) {
                                  : 0);
       const uint64_t duration = done - p.blockStartNs;
       r.clock = done;
-      trace::Event e;
-      e.op = ir::MpiOp::Wait;
-      e.peer = req.peer;
-      e.bytes = req.bytes;
-      e.tag = req.tag;
-      e.comm = req.comm;
-      e.callSiteId = p.desc.callSiteId;
-      e.reqId = req.postSite;  // the paper's request->GID mapping
-      if (req.kind == ir::MpiOp::Irecv && req.peer == trace::kAnySource)
-        e.matchedSource = req.matchedSource;
-      emit(rank, e, duration);
+      emit(rank, requestEvent(ir::MpiOp::Wait, req, p.desc.callSiteId),
+           duration);
       return;
     }
     case PendingKind::Waitall: {
@@ -559,17 +474,8 @@ void Engine::completePending(int rank) {
                             net_.recvOverhead(req.bytes);
       const uint64_t duration = done - p.blockStartNs;
       r.clock = done;
-      trace::Event e;
-      e.op = ir::MpiOp::Waitany;
-      e.peer = req.peer;
-      e.bytes = req.bytes;
-      e.tag = req.tag;
-      e.comm = req.comm;
-      e.callSiteId = p.desc.callSiteId;
-      e.reqId = req.postSite;
-      if (req.kind == ir::MpiOp::Irecv && req.peer == trace::kAnySource)
-        e.matchedSource = req.matchedSource;
-      emit(rank, e, duration);
+      emit(rank, requestEvent(ir::MpiOp::Waitany, req, p.desc.callSiteId),
+           duration);
       return;
     }
     case PendingKind::Waitsome: {
@@ -591,27 +497,17 @@ void Engine::completePending(int rank) {
       const uint64_t total = done - p.blockStartNs;
       r.clock = done;
       for (size_t k = 0; k < ready.size(); ++k) {
-        const Request& req = r.requests[ready[k]];
-        trace::Event e;
-        e.op = ir::MpiOp::Waitsome;
-        e.peer = req.peer;
-        e.bytes = req.bytes;
-        e.tag = req.tag;
-        e.comm = req.comm;
-        e.callSiteId = p.desc.callSiteId;
-        e.reqId = req.postSite;
-        if (req.kind == ir::MpiOp::Irecv && req.peer == trace::kAnySource)
-          e.matchedSource = req.matchedSource;
         // Charge the wall time once (on the first completion event).
-        emit(rank, e, k == 0 ? total : 0);
+        emit(rank,
+             requestEvent(ir::MpiOp::Waitsome, r.requests[ready[k]],
+                          p.desc.callSiteId),
+             k == 0 ? total : 0);
       }
       return;
     }
     case PendingKind::Collective: {
-      const auto& dq = collectives_.at(p.desc.comm);
-      const int base = collBase_.at(p.desc.comm);
-      const Collective& c = dq[static_cast<size_t>(p.reqIdx - base)];
-      const uint64_t duration = c.finishNs - p.blockStartNs;
+      const int seq = static_cast<int>(p.reqIdx);
+      const Collective& c = rendezvous_.at(p.desc.comm, seq);
       r.clock = c.finishNs;
       trace::Event e;
       e.op = p.desc.op;
@@ -622,11 +518,15 @@ void Engine::completePending(int rank) {
       if (p.desc.op == ir::MpiOp::CommSplit) {
         e.bytes = p.desc.color;
         e.tag = p.desc.key;
-        e.reqId = c.splitResult[static_cast<size_t>(rank)];
+        // completeSplit left the arrivals sorted by member.
+        const auto it = std::lower_bound(
+            c.split.begin(), c.split.end(), rank,
+            [](const SplitArrival& a, int m) { return a.member < m; });
+        e.reqId = it->result;
         r.opResult = e.reqId;
       }
-      emit(rank, e, duration);
-      consumeCollective(p.desc.comm, static_cast<int>(p.reqIdx));
+      emit(rank, e, c.finishNs - p.blockStartNs);
+      rendezvous_.consume(p.desc.comm, seq);
       return;
     }
   }
@@ -775,31 +675,25 @@ Engine::RankDiagnostic Engine::diagnose(int rank) const {
       break;
     }
     case PendingKind::Collective: {
+      // A member has arrived at (comm, seq) iff it has made more than seq
+      // collective calls on comm; a rank killed entering this call has not.
+      const auto comm = static_cast<size_t>(r.pending.desc.comm);
       d.seq = r.pending.reqIdx;
-      const auto it = collectives_.find(r.pending.desc.comm);
-      const auto baseIt = collBase_.find(r.pending.desc.comm);
-      if (it != collectives_.end() && baseIt != collBase_.end()) {
-        const auto& dq = it->second;
-        const size_t slot =
-            static_cast<size_t>(r.pending.reqIdx - baseIt->second);
-        if (slot < dq.size()) {
-          const Collective& c = dq[slot];
-          std::vector<int> missing, deadMissing;
-          for (int m : commMembers(r.pending.desc.comm)) {
-            if (c.arrivals[static_cast<size_t>(m)].has_value()) continue;
-            missing.push_back(m);
-            if (ranks_[static_cast<size_t>(m)].dead) deadMissing.push_back(m);
-          }
-          why << "waiting for rank";
-          if (missing.size() > 1) why << 's';
-          for (size_t i = 0; i < missing.size(); ++i)
-            why << (i ? "," : "") << ' ' << missing[i];
-          if (!deadMissing.empty()) {
-            why << " (dead:";
-            for (int m : deadMissing) why << ' ' << m;
-            why << ')';
-          }
-        }
+      std::vector<int> missing, deadMissing;
+      for (int m : commMembers(r.pending.desc.comm)) {
+        const RankState& ms = rs(m);
+        if (comm < ms.collSeq.size() && ms.collSeq[comm] > d.seq) continue;
+        missing.push_back(m);
+        if (ms.dead) deadMissing.push_back(m);
+      }
+      why << "waiting for rank";
+      if (missing.size() > 1) why << 's';
+      for (size_t i = 0; i < missing.size(); ++i)
+        why << (i ? "," : "") << ' ' << missing[i];
+      if (!deadMissing.empty()) {
+        why << " (dead:";
+        for (int m : deadMissing) why << ' ' << m;
+        why << ')';
       }
       break;
     }

@@ -1,6 +1,13 @@
 // The simulated MPI engine: deterministic message matching, request
 // objects, collectives, wildcard receives, per-rank virtual clocks.
 //
+// Collectives meet in the rendezvous that SIM-MPI replay uses too
+// (simmpi/collective.hpp): an instance keeps the running max of its
+// arrival clocks, not a per-rank arrival table. A collective call
+// parks its rank as pending, like a blocked Recv or Wait; the last
+// arrival finishes the instance and completes through the same path
+// as every pending op, so a collective's event is built in one place.
+//
 // This is the repository's stand-in for a real MPI library underneath
 // the PMPI layer. Ranks are driven by resumable VMs (see vm/): when an
 // operation cannot complete, execute() returns Blocked and the rank's
@@ -21,12 +28,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "ir/ir.hpp"
+#include "simmpi/collective.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/netmodel.hpp"
 #include "support/rng.hpp"
@@ -231,7 +237,9 @@ class Engine {
     std::vector<int64_t> outstanding;    // non-blocking requests not yet waited
     std::deque<Message> unexpected;      // arrived, unmatched messages
     std::vector<int64_t> pendingRecvs;   // posted, unmatched recv requests
-    std::vector<int> collSeq;            // per-comm collective counters
+    // Collective calls made per comm: the rank has arrived at instance
+    // (comm, seq) iff collSeq[comm] > seq (see collective.hpp).
+    std::vector<int> collSeq;
     PendingOp pending;
     trace::Observer* observer = nullptr;  // commit-thread observer
     bool deferring = false;               // buffer events in `deferred`
@@ -246,26 +254,19 @@ class Engine {
     uint64_t sendsIssued = 0;  // p2p messages sent (Drop/Delay ordinals)
   };
 
-  struct Collective {
-    ir::MpiOp op = ir::MpiOp::Barrier;
-    int64_t bytes = 0;
-    int32_t root = -1;
-    int arrived = 0;
-    int consumed = 0;  // members whose call has completed
-    bool done = false;
-    uint64_t finishNs = 0;
-    // per-rank arrival info (clock, callSiteId); index by world rank.
-    std::vector<std::optional<std::pair<uint64_t, int32_t>>> arrivals;
-    // CommSplit payloads: (color, key) per world rank, and the resulting
-    // communicator handle per world rank once complete.
-    std::vector<std::pair<int32_t, int32_t>> splitArgs;
-    std::vector<int32_t> splitResult;
-  };
-
   RankState& rs(int rank) { return ranks_[static_cast<size_t>(rank)]; }
   const RankState& rs(int rank) const { return ranks_[static_cast<size_t>(rank)]; }
 
   uint64_t jittered(uint64_t ns, int rank);
+
+  /// The request of point-to-point call `d`, before it completes.
+  static Request requestOf(const OpDesc& d);
+  /// The trace event of point-to-point op `op` issued at `callSite` on
+  /// request `q`. A receive completion (Recv, Wait, Waitany, Waitsome)
+  /// records a wildcard's matched source; a Wait* also records the
+  /// posting site as its reqId (the paper's request->GID mapping).
+  static trace::Event requestEvent(ir::MpiOp op, const Request& q,
+                                   int32_t callSite);
   void emit(int rank, trace::Event e, uint64_t durationNs);
 
   /// Try to match a posted receive request against unexpected messages.
@@ -286,24 +287,16 @@ class Engine {
   /// current send ordinal.
   void injectSendFaults(int rank, Message m);
 
-  Collective& collectiveSlot(int comm, int seq);
-
-  /// Record that one member's call on collective (comm, seq) completed,
-  /// then pop the done, fully consumed instances at the front of the
-  /// communicator's queue so a run keeps O(live collectives) slots.
-  void consumeCollective(int comm, int seq);
-
-  void completeSplit(int comm, Collective& c);
+  /// Form the communicators of a finished CommSplit and record each
+  /// member's handle in its SplitArrival.
+  void completeSplit(Collective& c);
 
   std::vector<RankState> ranks_;
   std::vector<std::vector<int>> comms_;  // comm id -> member world ranks
   LogGP net_;
   double jitter_;
   FaultPlan faults_;
-  // Live collectives per communicator: slot i is sequence number
-  // collBase_[comm] + i. Retired slots are popped from the front.
-  std::map<int, std::deque<Collective>> collectives_;
-  std::map<int, int> collBase_;  // first live sequence number per comm
+  Rendezvous rendezvous_;
   bool progress_ = false;
 };
 

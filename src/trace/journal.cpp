@@ -27,20 +27,19 @@ JournalBuilder::JournalBuilder(int numRanks, Sink sink)
   CYP_CHECK(numRanks >= 1, "journal needs at least one rank");
   const uint64_t header[] = {static_cast<uint64_t>(numRanks)};
   writeSegmentHeader(w_, kJournalFormat, header);
-  emitTail(0);
+  handOff();
 }
 
-void JournalBuilder::emitTail(size_t from) {
-  if (sink_)
-    sink_(std::span<const uint8_t>(w_.bytes().data() + from,
-                                   w_.bytes().size() - from));
+void JournalBuilder::handOff() {
+  // The sink owns the stream: it gets the new chunk, the builder keeps
+  // no copy. Without a sink the chunk stays in w_.
+  if (sink_) sink_(w_.take());
 }
 
 void JournalBuilder::segment(uint8_t kind, const ByteWriter& payload) {
   CYP_CHECK(!sealed_, "journal: segment appended after the seal");
-  const size_t from = w_.size();
   frameSegment(w_, kind, payload.bytes());
-  emitTail(from);
+  handOff();
 }
 
 void JournalBuilder::appendEvents(int rank, std::span<const Event> events) {

@@ -46,8 +46,9 @@ namespace cypress::trace {
 class JournalBuilder {
  public:
   /// Receives every appended chunk (the header, then each complete
-  /// segment) immediately after it is written to the in-memory stream.
-  /// A sink that writes-and-flushes to a file makes the on-disk journal
+  /// segment) as soon as it is framed; the builder then drops the
+  /// chunk, so with a sink it holds no journal bytes. A sink that
+  /// writes-and-flushes to a file makes the on-disk journal
   /// exactly as crash-consistent as the format promises: a kill between
   /// calls tears the file at a segment boundary, a kill mid-call tears
   /// one segment — both recoverable prefixes.
@@ -69,12 +70,14 @@ class JournalBuilder {
   bool sealed() const { return sealed_; }
   uint64_t totalEvents() const { return totalEvents_; }
   int numRanks() const { return numRanks_; }
+  /// The journal so far; empty with a sink, which has every byte.
   const std::vector<uint8_t>& bytes() const { return w_.bytes(); }
   std::vector<uint8_t> take() { return w_.take(); }
 
  private:
   void segment(uint8_t kind, const ByteWriter& payload);
-  void emitTail(size_t from);
+  /// Pass the chunk framed since the last hand-off to the sink, if any.
+  void handOff();
 
   ByteWriter w_;
   Sink sink_;

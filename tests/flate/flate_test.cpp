@@ -291,6 +291,43 @@ TEST(Flate, CorruptMagicThrows) {
   EXPECT_THROW(decompress(c), Error);
 }
 
+TEST(Flate, BytesAfterTheLastBlockAreRejected) {
+  // A container ends at its last block, whatever its layout: empty,
+  // single stored block, single Huffman block, or framed shards.
+  Rng rng(5);
+  std::vector<uint8_t> noise(64);
+  for (auto& b : noise) b = static_cast<uint8_t>(rng.below(256));
+  std::vector<uint8_t> framed(kShardBytes + 1000);
+  for (size_t i = 0; i < framed.size(); ++i)
+    framed[i] = static_cast<uint8_t>(i % 29);
+  const std::vector<std::vector<uint8_t>> inputs = {
+      {}, noise, bytesOf(std::string(300, 'q')), framed};
+  for (const auto& data : inputs) {
+    const auto c = compress(data);
+    ASSERT_EQ(decompress(c), data);
+    for (size_t extra : {1, 7}) {
+      auto bad = c;
+      bad.insert(bad.end(), extra, 0);
+      EXPECT_THROW(decompress(bad), Error)
+          << data.size() << "-byte input + " << extra << " bytes";
+    }
+  }
+}
+
+TEST(Flate, SingleBlockLargerThanAShardIsRejected) {
+  // compress() frames every input above kShardBytes, so a single-block
+  // container declaring more is corrupt even when its block and CRC
+  // agree with each other.
+  const std::vector<uint8_t> data(kShardBytes + 1, 0x5A);
+  ByteWriter w;
+  w.raw(bytesOf("CYF1"));
+  w.uv(data.size());
+  w.u32fixed(crc32(data));
+  w.u8(0);  // stored block
+  w.raw(data);
+  EXPECT_THROW(decompress(w.bytes()), Error);
+}
+
 TEST(Flate, CorruptPayloadFailsCrc) {
   std::string s(300, 'q');
   auto c = compress(bytesOf(s));

@@ -83,9 +83,11 @@ uint64_t allreduceLoopRunRssKiB(int iters) {
 }
 
 TEST(RunMemory, CollectiveSlotsAreRetired) {
-  // Each collective instance holds P-sized arrival state until every
-  // member has completed it; keeping retired instances would add
-  // ~6 KiB per call at P=256, over 100 MB for 18000 more calls.
+  // A live collective instance is popped once every member has
+  // completed it. Keeping retired instances, or giving each one a
+  // P-sized arrival table as the engine once did (~6 KiB per call at
+  // P=256), would grow with the call count: over 100 MB for 18000 more
+  // calls.
   const uint64_t small = allreduceLoopRunRssKiB(2000);
   const uint64_t large = allreduceLoopRunRssKiB(20000);
   EXPECT_LT(large, small + 4 * 1024)

@@ -170,6 +170,33 @@ TEST(CommSplit, NestedSplitsWork) {
   expectCypressLossless(run);
 }
 
+TEST(CommSplit, HandlesArePinned) {
+  // Two successive splits: halves keyed in reverse rank order, then a
+  // split where ranks 1, 4 and 7 pass a negative color. Each distinct
+  // non-negative color gets the next communicator id in color order,
+  // whatever order the members arrive in; a negative color gets -1.
+  auto run = runIt(R"(
+    func main() {
+      compute((size - rank) * 1000);
+      var half = mpi_comm_split(rank / 4, size - rank);
+      var color = 0 - 1;
+      if (rank % 3 != 1) { color = 2 - rank % 3; }
+      var third = mpi_comm_split(color, rank);
+      mpi_allreduce_c(half, 8);
+      if (rank % 3 != 1) { mpi_barrier_c(third); }
+      mpi_barrier();
+    })", 8);
+  std::vector<std::vector<int64_t>> handles(8);
+  for (const auto& r : run.raw.ranks)
+    for (const auto& e : r.events)
+      if (e.op == ir::MpiOp::CommSplit)
+        handles[static_cast<size_t>(r.rank)].push_back(e.reqId);
+  const std::vector<std::vector<int64_t>> want = {
+      {1, 4}, {1, -1}, {1, 3}, {1, 4}, {2, -1}, {2, 3}, {2, 4}, {2, -1}};
+  EXPECT_EQ(handles, want);
+  expectCypressLossless(run);
+}
+
 TEST(CommSplit, ReplayRebuildsCommunicators) {
   auto run = runIt(R"(
     func main() {

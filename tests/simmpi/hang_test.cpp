@@ -136,6 +136,35 @@ TEST(HangDetection, SalvageModeReturnsStalledRanksInsteadOfThrowing) {
       << res.stallDiagnostics;
 }
 
+TEST(HangDetection, PendingSubCommunicatorBarrierDumpIsPinned) {
+  // Rank 1 is killed entering the barrier on its half's communicator
+  // and rank 2 never calls it. The dump names, for each pending
+  // collective, exactly the members that have not arrived: a member
+  // that was killed entering the call has not. The text is pinned.
+  simmpi::FaultPlan plan;
+  plan.faults.push_back(simmpi::parseFaultSpec("kill:1@2"));
+  const auto res = runPlan(R"(
+    func main() {
+      var half = mpi_comm_split(rank / 3, rank);
+      if (rank != 2) { mpi_barrier_c(half); }
+      mpi_barrier();
+    })", 6, plan, vm::OnStall::Salvage);
+  EXPECT_EQ(res.stallDiagnostics,
+            "stalled ranks: [fault plan: kill:1@2]\n"
+            "  rank 1: dead in MPI_Barrier at MPI call #2 — killed by the "
+            "fault plan\n"
+            "  rank 0: blocked in MPI_Barrier [peer=-2 tag=0 comm=1 seq=0] at "
+            "MPI call #2 — waiting for ranks 1, 2 (dead: 1)\n"
+            "  rank 2: blocked in MPI_Barrier [peer=-2 tag=0 comm=0 seq=1] at "
+            "MPI call #2 — waiting for ranks 0, 1 (dead: 1)\n"
+            "  rank 3: blocked in MPI_Barrier [peer=-2 tag=0 comm=0 seq=1] at "
+            "MPI call #3 — waiting for ranks 0, 1 (dead: 1)\n"
+            "  rank 4: blocked in MPI_Barrier [peer=-2 tag=0 comm=0 seq=1] at "
+            "MPI call #3 — waiting for ranks 0, 1 (dead: 1)\n"
+            "  rank 5: blocked in MPI_Barrier [peer=-2 tag=0 comm=0 seq=1] at "
+            "MPI call #3 — waiting for ranks 0, 1 (dead: 1)\n");
+}
+
 TEST(HangDetection, CleanRunReportsClean) {
   const auto res = runPlan(R"(
     func main() {

@@ -62,6 +62,26 @@ TEST(Journal, BuilderParserRoundtrip) {
   EXPECT_EQ(rec.trace.ranks[1].events, r1);
 }
 
+TEST(Journal, BuilderWithASinkKeepsNoBytes) {
+  // A sink owns the stream: the builder hands it every chunk and keeps
+  // no copy, so a streamed journal costs no RAM however long it grows.
+  // The streamed bytes are exactly the bytes a sink-less builder holds.
+  std::vector<uint8_t> streamed;
+  trace::JournalBuilder sunk(2, [&](std::span<const uint8_t> chunk) {
+    streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+  });
+  trace::JournalBuilder kept(2);
+  const std::vector<trace::Event> r0 = {ev(1, 64), ev(2, 128)};
+  for (trace::JournalBuilder* b : {&sunk, &kept}) {
+    b->appendEvents(0, r0);
+    b->appendFinalize(0);
+    b->seal(RankSet{});
+  }
+  EXPECT_TRUE(sunk.bytes().empty());
+  EXPECT_EQ(streamed, kept.bytes());
+  EXPECT_TRUE(trace::parseJournal(streamed).sealed);
+}
+
 TEST(Journal, SealIsTerminal) {
   trace::JournalBuilder b(1);
   const std::vector<trace::Event> events = {ev(1, 8)};
