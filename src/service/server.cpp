@@ -5,11 +5,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 
 #include "cypress/merge.hpp"
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
 #include "query/query.hpp"
+#include "support/io.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "verify/roundtrip.hpp"
@@ -428,19 +431,28 @@ JobServer::AttemptResult JobServer::runAttempt(
         for (const std::string& f : spec.faultSpecs)
           opts.engine.faults.faults.push_back(simmpi::parseFaultSpec(f));
 
-      // Stream the journal to disk as it grows: a daemon crash mid-run
-      // leaves a salvageable torn .partial instead of nothing. The
-      // durable sink fsyncs each flushed segment, so what the file
-      // promises to `cyptrace recover` is actually on the platter.
+      // Stream the journal to disk as it grows: each segment is one
+      // write to the .partial as soon as it is framed, so a daemon
+      // killed mid-run leaves a salvageable torn .partial instead of
+      // nothing. This attempt owns the file and syncs it once, when the
+      // run is over; the builder's sink only writes to it.
       opts.withJournal = true;
       opts.journalFlushEvery = 16;
       const std::string partial = base + ".cyj.partial";
-      opts.journalSink = trace::durableFileSink(*io_, partial);
+      const std::unique_ptr<io::IoFile> journal = io_->openWrite(partial);
+      opts.journalSink = [file = journal.get()](
+                             std::span<const uint8_t> chunk) {
+        file->write(chunk);
+      };
+      auto syncJournal = [&journal] {
+        journal->sync();
+        journal->close();
+      };
 
       driver::RunOutput run = driver::runSource(spec.target, source, opts);
-      opts.journalSink = nullptr;  // close the .partial before renaming it
 
       if (run.runStats.cancelled) {
+        syncJournal();
         res.outcome = Outcome::Cancelled;  // finishAttempt tells user
                                            // cancel from deadline expiry
         res.detail = firstLine(run.runStats.stallDiagnostics);
@@ -450,6 +462,7 @@ JobServer::AttemptResult JobServer::runAttempt(
       if (!run.runStats.stalledRanks.empty()) {
         // A stall (drop/delay fault, deadlock) is the transient class:
         // the tracer salvaged what it could; a retry may succeed.
+        syncJournal();
         res.outcome = Outcome::Transient;
         res.detail = describeRanks("stalled ranks:",
                                    run.runStats.stalledRanks) +
@@ -462,6 +475,9 @@ JobServer::AttemptResult JobServer::runAttempt(
           driver::mergeCypress(run, nullptr, cfg_.threadsPerJob);
       res.artifactPath = base + ".cyp";
       res.artifactBytes = driver::writeTrace(merged, res.artifactPath, io_);
+      // tmp -> fsync -> rename, like every artifact: the rename fsyncs
+      // the directory, and finishAttempt logs DONE only after it.
+      syncJournal();
       res.journalPath = base + ".cyj";
       io_->rename(partial, res.journalPath);
 

@@ -328,6 +328,7 @@ AtomicFileWriter::~AtomicFileWriter() {
 void AtomicFileWriter::write(std::span<const uint8_t> bytes) {
   CYP_CHECK(!committed_, "io: write after commit to " << path_);
   file_->write(bytes);
+  bytesWritten_ += bytes.size();
 }
 
 void AtomicFileWriter::commit() {

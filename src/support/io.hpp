@@ -190,12 +190,14 @@ class AtomicFileWriter final : public ByteSink {
   void append(std::span<const uint8_t> bytes) override { write(bytes); }
   void commit();
   bool committed() const { return committed_; }
+  uint64_t bytesWritten() const { return bytesWritten_; }
 
  private:
   IoBackend& io_;
   std::string path_;
   std::string tmp_;
   std::unique_ptr<IoFile> file_;
+  uint64_t bytesWritten_ = 0;
   bool committed_ = false;
 };
 

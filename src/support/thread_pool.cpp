@@ -136,10 +136,17 @@ void parallelFor(size_t n, int threads, const std::function<void(size_t)>& fn,
   // Help drain the pool while waiting: the queued task we run may be a
   // lane of ours, a lane of a nested fan-out, or unrelated work — any of
   // them is progress, and it keeps a fully-blocked pool impossible.
+  // Once every lane is done the errors move out under the lock: a worker
+  // may still hold the last reference to `st`, and every exception_ptr
+  // must be released on this thread, not in the State a worker frees.
+  std::vector<std::exception_ptr> errors;
   while (true) {
     {
       std::lock_guard<std::mutex> lk(st->mu);
-      if (st->remaining == 0) break;
+      if (st->remaining == 0) {
+        errors = std::move(st->errors);
+        break;
+      }
     }
     if (!pool->tryRunOne()) {
       std::unique_lock<std::mutex> lk(st->mu);
@@ -147,7 +154,7 @@ void parallelFor(size_t n, int threads, const std::function<void(size_t)>& fn,
                       [&] { return st->remaining == 0; });
     }
   }
-  for (const auto& err : st->errors)
+  for (const auto& err : errors)
     if (err) std::rethrow_exception(err);
 }
 

@@ -1,7 +1,6 @@
 #include "trace/journal.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "support/error.hpp"
 #include "trace/segment_log.hpp"
@@ -90,15 +89,6 @@ void JournalRecorder::onFinalize() {
   flush();
   builder_.appendFinalize(rank_);
   finalized_ = true;
-}
-
-JournalBuilder::Sink durableFileSink(io::IoBackend& io,
-                                     const std::string& path) {
-  std::shared_ptr<io::IoFile> file = io.openWrite(path);
-  return [file](std::span<const uint8_t> chunk) {
-    file->write(chunk);
-    file->sync();
-  };
 }
 
 std::vector<int> JournalRecovery::unfinalizedRanks() const {

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "support/bytebuf.hpp"
-#include "support/io.hpp"
 #include "support/rank_set.hpp"
 #include "trace/event.hpp"
 #include "trace/observer.hpp"
@@ -47,11 +46,14 @@ class JournalBuilder {
  public:
   /// Receives every appended chunk (the header, then each complete
   /// segment) as soon as it is framed; the builder then drops the
-  /// chunk, so with a sink it holds no journal bytes. A sink that
-  /// writes-and-flushes to a file makes the on-disk journal
-  /// exactly as crash-consistent as the format promises: a kill between
-  /// calls tears the file at a segment boundary, a kill mid-call tears
-  /// one segment — both recoverable prefixes.
+  /// chunk, so with a sink it holds no journal bytes. A sink that hands
+  /// each chunk to one write(2) of an open file makes the on-disk
+  /// journal as kill-safe as the format promises: once the call returns
+  /// the bytes are in the page cache, so a killed process tears the
+  /// file at a segment boundary (or, killed mid-call, inside one
+  /// segment) — both recoverable prefixes. Surviving a power cut takes
+  /// an fsync, which the file's owner issues once, when the run is over
+  /// and before the file is renamed into place — never per chunk.
   using Sink = std::function<void(std::span<const uint8_t>)>;
 
   explicit JournalBuilder(int numRanks, Sink sink = nullptr);
@@ -115,18 +117,6 @@ class JournalRecorder final : public Observer {
   uint64_t eventsSeen_ = 0;
   bool finalized_ = false;
 };
-
-/// Build a JournalBuilder sink that appends every chunk to `path`
-/// through `io` with a write + fsync per chunk — the canonical durable
-/// journal sink. fsync per segment is what upgrades the format's
-/// "recoverable after any torn prefix" promise from surviving a process
-/// kill to surviving a power cut; callers that only need kill-safety
-/// still pay one syncs-per-flush, which the flushEvery batching
-/// amortizes. The returned sink owns the open file (closed when the
-/// last copy of the sink is destroyed) and propagates io::IoError from
-/// the write path into the tracer.
-JournalBuilder::Sink durableFileSink(io::IoBackend& io,
-                                     const std::string& path);
 
 /// The result of reading a CYJ1 journal.
 struct JournalRecovery {

@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <span>
 
 #include "cypress/manifest.hpp"
 #include "service/ledger.hpp"
@@ -138,11 +140,23 @@ TEST(FormatPins, JournalBytesAndParse) {
             (std::vector<trace::Event>{pinEvent(3)}));
 }
 
+/// The daemon's journal sink: one write per chunk to a file the caller
+/// owns. Before each write returns nothing may stay buffered in user
+/// space — the bytes a killed process leaves are exactly those handed
+/// off — so after every hand-off the file holds every chunk so far.
 TEST(FormatPins, JournalDurableSinkWritesTheSameBytes) {
   const std::string dir = freshDir("cyp_pin_journal");
-  const std::string path = dir + "/pin.cyj";
+  const std::string path = dir + "/pin.cyj.partial";
+  const std::unique_ptr<io::IoFile> file = io::realIo().openWrite(path);
+  std::vector<uint8_t> handedOff;
+  size_t handOffs = 0;
   {
-    trace::JournalBuilder b(2, trace::durableFileSink(io::realIo(), path));
+    trace::JournalBuilder b(2, [&](std::span<const uint8_t> chunk) {
+      file->write(chunk);
+      handedOff.insert(handedOff.end(), chunk.begin(), chunk.end());
+      ++handOffs;
+      EXPECT_EQ(fileBytes(path), handedOff) << "after hand-off " << handOffs;
+    });
     const std::vector<trace::Event> r0 = {pinEvent(0), pinEvent(1),
                                           pinEvent(2)};
     const std::vector<trace::Event> r1 = {pinEvent(3)};
@@ -152,7 +166,13 @@ TEST(FormatPins, JournalDurableSinkWritesTheSameBytes) {
     RankSet lost;
     lost.insert(1);
     b.seal(lost);
+    EXPECT_TRUE(b.bytes().empty()) << "a sink-backed builder keeps no bytes";
   }
+  // The header and four segments, each handed off once; the one sync
+  // comes after the seal.
+  EXPECT_EQ(handOffs, 5u);
+  file->sync();
+  file->close();
   EXPECT_EQ(fileBytes(path), golden("journal.cyj"));
 }
 

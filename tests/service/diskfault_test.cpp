@@ -102,6 +102,80 @@ TEST(ServiceDiskFault, EioOnJournalStreamIsTerminalToo) {
   server.stop();
 }
 
+// The journal's one sync, before the rename to job-N.cyj: when it
+// fails the job is FAILED_DISK, and no sealed journal exists.
+TEST(ServiceDiskFault, FsyncFailureOnJournalIsTerminal) {
+  ThreadPool::configureShared(2);
+  io::FaultyIoBackend faulty(io::realIo(),
+                             {io::parseIoFaultSpec("fsync@1:.cyj.partial")});
+  ServerConfig cfg;
+  cfg.spoolDir = freshDir("cyp_service_journal_fsync");
+  cfg.backoffBaseMs = 5;
+  cfg.io = &faulty;
+  JobServer server(cfg);
+  server.start();
+
+  const auto r = server.submit(runSpec(), /*clientId=*/1);
+  ASSERT_TRUE(r.accepted) << r.message;
+  const JobStatus st = awaitTerminal(server, r.jobId);
+
+  EXPECT_EQ(st.state, JobState::FailedDisk) << st.detail;
+  EXPECT_EQ(st.errnoValue, static_cast<uint32_t>(EIO));
+  EXPECT_EQ(st.attempts, 1u);
+  EXPECT_EQ(faulty.faultsFired(), 1u);
+  EXPECT_FALSE(fs::exists(cfg.spoolDir + "/job-1.cyj"));
+  server.stop();
+}
+
+// A DONE attempt syncs its .partial exactly once: the first sync is
+// the one the previous test fails, and a second never comes.
+TEST(ServiceDiskFault, DoneJobSyncsItsJournalOnce) {
+  ThreadPool::configureShared(2);
+  io::FaultyIoBackend faulty(io::realIo(),
+                             {io::parseIoFaultSpec("fsync@2:.cyj.partial")});
+  ServerConfig cfg;
+  cfg.spoolDir = freshDir("cyp_service_journal_once");
+  cfg.io = &faulty;
+  JobServer server(cfg);
+  server.start();
+
+  const auto r = server.submit(runSpec(), /*clientId=*/1);
+  ASSERT_TRUE(r.accepted) << r.message;
+  const JobStatus st = awaitTerminal(server, r.jobId);
+
+  EXPECT_EQ(st.state, JobState::Done) << st.detail;
+  EXPECT_EQ(st.attempts, 1u);
+  EXPECT_EQ(faulty.faultsFired(), 0u) << "a second journal sync was issued";
+  EXPECT_TRUE(fs::exists(st.journalPath)) << st.journalPath;
+  EXPECT_FALSE(fs::exists(cfg.spoolDir + "/job-1.cyj.partial"));
+  server.stop();
+}
+
+// A stalled attempt reports its .partial for salvage, so it syncs it
+// too before returning.
+TEST(ServiceDiskFault, StalledJobSyncsItsPartialJournal) {
+  ThreadPool::configureShared(2);
+  io::FaultyIoBackend faulty(io::realIo(),
+                             {io::parseIoFaultSpec("fsync@1:.cyj.partial")});
+  ServerConfig cfg;
+  cfg.spoolDir = freshDir("cyp_service_stall_fsync");
+  cfg.io = &faulty;
+  JobServer server(cfg);
+  server.start();
+
+  JobSpec spec = runSpec();
+  spec.faultSpecs = {"drop:1@3"};
+  spec.maxAttempts = 1;
+  const auto r = server.submit(spec, /*clientId=*/1);
+  ASSERT_TRUE(r.accepted) << r.message;
+  const JobStatus st = awaitTerminal(server, r.jobId);
+
+  EXPECT_EQ(st.state, JobState::FailedDisk) << st.detail;
+  EXPECT_EQ(st.errnoValue, static_cast<uint32_t>(EIO));
+  EXPECT_EQ(faulty.faultsFired(), 1u);
+  server.stop();
+}
+
 TEST(ServiceDiskFault, HealthyDiskStillCompletes) {
   // Same config shape, no faults: the IoBackend seam itself must not
   // change behaviour.

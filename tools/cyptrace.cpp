@@ -67,6 +67,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -235,7 +237,9 @@ io::IoBackend* faultIo(const Args& a,
 /// `allTools` (compare, verify) runs the ScalaTrace baselines next to
 /// CYPRESS and keeps the raw trace those commands check against; `run`
 /// records CYPRESS alone and takes its event count from the engine.
-driver::RunOutput runTarget(const Args& a, bool allTools) {
+/// With a `journal` writer the journal streams into it as it grows.
+driver::RunOutput runTarget(const Args& a, bool allTools,
+                            io::AtomicFileWriter* journal = nullptr) {
   driver::Options opts;
   opts.procs = a.procs;
   opts.scale = a.scale;
@@ -245,7 +249,11 @@ driver::RunOutput runTarget(const Args& a, bool allTools) {
   opts.withScala2 = allTools;
   for (const std::string& spec : a.faultSpecs)
     opts.engine.faults.faults.push_back(simmpi::parseFaultSpec(spec));
-  opts.withJournal = !a.journal.empty();
+  opts.withJournal = journal != nullptr;
+  if (journal != nullptr)
+    opts.journalSink = [journal](std::span<const uint8_t> chunk) {
+      journal->write(chunk);
+    };
   opts.onStall = a.salvage ? vm::OnStall::Salvage : vm::OnStall::Throw;
   if (cli::isSourceFile(a.target))
     return driver::runSource(a.target, cli::readFile(a.target), opts);
@@ -259,7 +267,12 @@ driver::RunOutput runTarget(const Args& a, bool allTools) {
 int cmdRun(const Args& a) {
   std::unique_ptr<io::FaultyIoBackend> faulty;
   io::IoBackend* io = faultIo(a, faulty);
-  driver::RunOutput run = runTarget(a, /*allTools=*/false);
+  // The journal streams into F.cyj.tmp during the run, so memory stays
+  // bounded; it is committed (one fsync, then rename) after the trace.
+  std::unique_ptr<io::AtomicFileWriter> journal;
+  if (!a.journal.empty())
+    journal = std::make_unique<io::AtomicFileWriter>(*io, a.journal);
+  driver::RunOutput run = runTarget(a, /*allTools=*/false, journal.get());
   core::MergedCtt merged = driver::mergeCypress(run, nullptr, a.threads);
   const std::string out = a.out.empty() ? a.target + ".cyp" : a.out;
   const size_t outBytes = driver::writeTrace(merged, out, io);
@@ -277,10 +290,10 @@ int cmdRun(const Args& a) {
     std::printf("merged trace covers survivors; lost ranks annotated: %zu\n",
                 merged.lostRanks().size());
   }
-  if (run.journal != nullptr) {
-    io::writeFileAtomic(*io, a.journal, run.journal->bytes());
+  if (journal != nullptr) {
+    journal->commit();
     std::printf("journal: %s (%s, %llu events, sealed)\n", a.journal.c_str(),
-                humanBytes(run.journal->bytes().size()).c_str(),
+                humanBytes(journal->bytesWritten()).c_str(),
                 static_cast<unsigned long long>(run.journal->totalEvents()));
   }
   if (!a.emitRanks.empty()) {
