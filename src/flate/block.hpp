@@ -1,5 +1,5 @@
-// Internal CYF1 container pieces shared between the one-shot codec
-// (flate.cpp) and the streaming compressor (stream.cpp).
+// Internal CYF1 container pieces shared between the decoder and block
+// coder (flate.cpp) and the encoder (stream.cpp).
 //
 // Not part of the public flate API: the container layout these
 // constants describe is documented in flate.hpp and docs/FORMATS.md,
@@ -22,10 +22,12 @@ inline constexpr uint8_t kBlockFramed = 2;
 
 /// Compress one window-independent block: `u8 kind | payload`, stored
 /// when Huffman coding does not win. This is exactly the legacy
-/// single-block body, reused per shard by the framed container — and
-/// the unit of work a streaming shard job executes. Pure function of
-/// (data, mp): both codecs produce identical bytes per shard.
+/// single-block body, reused per shard by the framed container. Pure
+/// function of (data, mp). The result starts with `prefix` (the
+/// single-block container header), so a whole small container is
+/// built in one buffer.
 std::vector<uint8_t> compressBlock(std::span<const uint8_t> data,
-                                   const MatchParams& mp);
+                                   const MatchParams& mp,
+                                   std::span<const uint8_t> prefix = {});
 
 }  // namespace cypress::flate::detail

@@ -8,13 +8,13 @@
 #include "flate/block.hpp"
 #include "flate/huffman.hpp"
 #include "flate/lz77.hpp"
+#include "flate/stream.hpp"
 #include "support/bytebuf.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace cypress::flate {
 
-using detail::compressBlock;
 using detail::kBlockFramed;
 using detail::kBlockHuffman;
 using detail::kBlockStored;
@@ -117,7 +117,8 @@ std::vector<uint8_t> readLengths(ByteReader& r, size_t n) {
 // doc comment lives there); the Huffman/bit-io helpers it needs stay
 // file-local above.
 std::vector<uint8_t> detail::compressBlock(std::span<const uint8_t> data,
-                                           const MatchParams& mp) {
+                                           const MatchParams& mp,
+                                           std::span<const uint8_t> prefix) {
   const auto tokens = tokenize(data, mp);
 
   // Symbol frequencies.
@@ -138,6 +139,7 @@ std::vector<uint8_t> detail::compressBlock(std::span<const uint8_t> data,
   const auto distCodes = canonicalCodes(distLens);
 
   ByteWriter block;
+  block.raw(prefix);
   block.u8(kBlockHuffman);
   writeLengths(block, litLens);
   writeLengths(block, distLens);
@@ -161,9 +163,10 @@ std::vector<uint8_t> detail::compressBlock(std::span<const uint8_t> data,
   block.uv(bits.size());
   block.raw(bits);
 
-  if (block.size() >= data.size() + 1) {
+  if (block.size() - prefix.size() >= data.size() + 1) {
     // Incompressible: stored block.
     ByteWriter stored;
+    stored.raw(prefix);
     stored.u8(kBlockStored);
     stored.raw(data);
     return stored.take();
@@ -293,53 +296,9 @@ uint32_t crc32Combine(uint32_t crc1, uint32_t crc2, uint64_t len2) {
 
 std::vector<uint8_t> compress(std::span<const uint8_t> data, Level level,
                               int threads) {
-  ByteWriter w;
-  w.raw(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(kMagic), 4));
-  w.uv(data.size());
-
-  if (data.empty()) {
-    w.u32fixed(crc32(data));
-    return w.take();
-  }
-
-  const MatchParams mp = MatchParams::forChain(static_cast<int>(level));
-  if (data.size() <= kShardBytes) {
-    // Legacy single-block container, byte-for-byte the historical format.
-    w.u32fixed(crc32(data));
-    w.raw(compressBlock(data, mp));
-    return w.take();
-  }
-
-  // Framed multi-block container: fixed-size shards, each compressed
-  // with a fresh LZ77 window, so the shards are independent tasks and
-  // the output is a pure function of the input — `threads` only decides
-  // how many compress concurrently. Each task also CRCs its own shard;
-  // the whole-input CRC in the header is the crc32Combine fold of the
-  // per-shard values, bit-identical to one serial pass but without a
-  // second full scan of the input on the hot path.
-  const size_t nShards = (data.size() + kShardBytes - 1) / kShardBytes;
-  std::vector<std::vector<uint8_t>> blocks(nShards);
-  std::vector<uint32_t> shardCrcs(nShards);
-  parallelFor(nShards, threads, [&](size_t i) {
-    const size_t lo = i * kShardBytes;
-    const size_t hi = std::min(lo + kShardBytes, data.size());
-    blocks[i] = compressBlock(data.subspan(lo, hi - lo), mp);
-    shardCrcs[i] = crc32(data.subspan(lo, hi - lo));
-  });
-  uint32_t crc = shardCrcs[0];
-  for (size_t i = 1; i < nShards; ++i) {
-    const size_t lo = i * kShardBytes;
-    const size_t hi = std::min(lo + kShardBytes, data.size());
-    crc = crc32Combine(crc, shardCrcs[i], hi - lo);
-  }
-  w.u32fixed(crc);
-  w.u8(kBlockFramed);
-  w.uv(nShards);
-  for (const auto& b : blocks) {
-    w.uv(b.size());
-    w.raw(b);
-  }
-  return w.take();
+  VectorSink sink;
+  StreamingCompressor(sink, level, threads).finish(data);
+  return sink.take();
 }
 
 std::vector<uint8_t> decompress(std::span<const uint8_t> data, int threads) {
@@ -413,10 +372,6 @@ std::vector<uint8_t> decompress(std::span<const uint8_t> data, int threads) {
   });
   CYP_CHECK(crc32(out) == crc, "flate: CRC mismatch");
   return out;
-}
-
-size_t compressedSize(std::span<const uint8_t> data, Level level, int threads) {
-  return compress(data, level, threads).size();
 }
 
 std::vector<uint8_t> compressString(const std::string& s, Level level,

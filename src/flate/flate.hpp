@@ -19,6 +19,9 @@
 // because the shard boundaries depend only on the input size, the
 // output is byte-identical for every thread count.
 //
+// There is one encoder, flate::StreamingCompressor (stream.hpp);
+// compress() below runs it over an in-memory buffer.
+//
 // A container ends at its last block: decompress() rejects any byte
 // after it, as after the CRC of an empty input.
 #pragma once
@@ -37,10 +40,11 @@ enum class Level { Fast = 16, Default = 128, Best = 1024 };
 /// this size keep the legacy single-block layout.
 constexpr size_t kShardBytes = 256 * 1024;
 
-/// Compress `data`; never fails (incompressible data falls back to a
-/// stored block with a few bytes of framing overhead). `threads` caps
-/// how many shards compress concurrently (on the shared pipeline pool)
-/// and never changes the output bytes.
+/// Compress `data` with the StreamingCompressor, reading it in place;
+/// never fails (incompressible data falls back to a stored block with a
+/// few bytes of framing overhead). `threads` caps how many shards
+/// compress concurrently (on the shared pipeline pool) and never
+/// changes the output bytes.
 std::vector<uint8_t> compress(std::span<const uint8_t> data,
                               Level level = Level::Default, int threads = 1);
 
@@ -52,10 +56,6 @@ std::vector<uint8_t> compress(std::span<const uint8_t> data,
 /// a sequential decode.
 std::vector<uint8_t> decompress(std::span<const uint8_t> data,
                                 int threads = 1);
-
-/// Convenience: size in bytes after compression.
-size_t compressedSize(std::span<const uint8_t> data,
-                      Level level = Level::Default, int threads = 1);
 
 /// String overloads (used by text-file artifacts such as serialized CSTs).
 std::vector<uint8_t> compressString(const std::string& s,

@@ -1,42 +1,32 @@
-// Streaming CYF1 compression: serialize → shard → compress → write
-// with no full-buffer materialization.
+// The CYF1 encoder: serialize → shard → compress → write with no
+// full-buffer materialization. flate::compress() is this encoder over
+// a VectorSink, so there is exactly one CYF1 writer.
 //
 // StreamingCompressor is a ByteSink a producer serializes straight
-// into. Bytes are cut into kShardBytes shard buffers; each full shard
-// is CRC'd on the producer thread (slice-by-8 — cheap next to LZ77)
-// and handed to a bounded MPMC queue that pool workers drain, each
-// compressing its shard with a fresh LZ77 window (the existing CYF1
-// kind-2 framing). finish() then knows the total size and the
-// crc32Combine fold of the per-shard CRCs, writes the container header,
-// and drains compressed shards into the downstream sink in shard
-// order — writing shard i while shards > i are still compressing. The
-// three stages (serialize, compress, I/O) overlap; peak memory is the
-// bounded queue, not the trace.
+// into. Bytes are cut into kShardBytes shards; full shards collect in
+// a window of at most 2x`threads` raw shards, and each window is CRC'd
+// and compressed by one parallelFor() call (a fresh LZ77 window per
+// shard: the CYF1 kind-2 framing). A shard's raw bytes are freed once
+// its block exists, so peak memory is one window plus the compressed
+// blocks, not the trace. With `threads <= 1` the window holds one
+// shard, which compresses as soon as it is cut.
 //
-// The output is byte-for-byte identical to flate::compress() over the
-// concatenated input at every thread count: shard boundaries depend
-// only on input size, each shard's block is a pure function of its
-// bytes, and the header fields are the same totals. Inputs that never
-// exceed one shard take the legacy single-block layout, exactly like
-// the one-shot codec.
-//
-// Deadlock safety: the producer never blocks on the full queue — it
-// compresses one queued shard itself and retries (the thread pool's
-// helping-wait discipline), so streaming works even when the producer
-// is itself a pool task.
+// finish() compresses the last window and the tail, then writes the
+// container header (total size and the crc32Combine fold of the
+// per-shard CRCs) and the blocks in shard order. The bytes are a pure
+// function of the input: shard boundaries depend only on its size,
+// each block only on its shard, and `threads` only on how many blocks
+// compress at once — never on how the input was sliced into append()
+// calls. Inputs that never exceed one shard take the legacy
+// single-block layout.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "flate/flate.hpp"
 #include "support/bytebuf.hpp"
-
-namespace cypress {
-class ThreadPool;
-}
 
 namespace cypress::flate {
 
@@ -65,7 +55,7 @@ class Crc32Sink final : public ByteSink {
   uint32_t crc_ = 0;
 };
 
-/// The streaming CYF1 compressor described above.
+/// The CYF1 encoder described above.
 class StreamingCompressor final : public ByteSink {
  public:
   struct Totals {
@@ -75,39 +65,38 @@ class StreamingCompressor final : public ByteSink {
   };
 
   /// Compressed output goes to `out` (only during finish(), on the
-  /// calling thread — `out` needs no thread safety). `threads <= 1`
-  /// compresses shards inline at cut time; otherwise shards are
-  /// compressed by `pool` (the shared pool when null) with at most
-  /// ~2x`threads` shards in flight.
+  /// calling thread — `out` needs no thread safety). `threads` lanes of
+  /// the shared pool compress each window of shards.
   explicit StreamingCompressor(ByteSink& out, Level level = Level::Default,
-                               int threads = 1, ThreadPool* pool = nullptr);
-  ~StreamingCompressor() override;
+                               int threads = 1);
 
   StreamingCompressor(const StreamingCompressor&) = delete;
   StreamingCompressor& operator=(const StreamingCompressor&) = delete;
 
-  /// Feed input bytes. Cuts full shards and dispatches them; never
-  /// blocks indefinitely (helps compress when the queue is full).
+  /// Feed input bytes. Cuts full shards; a full window compresses
+  /// before append() returns.
   void append(std::span<const uint8_t> bytes) override;
 
-  /// Flush: write the container header and drain every shard, in
-  /// order, into the downstream sink. Must be called exactly once;
-  /// append() is invalid afterwards. Rethrows any shard compression
-  /// failure.
-  Totals finish();
+  /// Write the container into the downstream sink. `last`, if given,
+  /// is the end of the input: finish(last) writes the same bytes as
+  /// append(last) then finish(), but reads `last` in place instead of
+  /// copying it. Must be called exactly once; append() is invalid
+  /// afterwards. Rethrows any shard compression failure.
+  Totals finish(std::span<const uint8_t> last = {});
 
  private:
-  struct Impl;
-  struct Job;
+  void cut(std::span<const uint8_t> shard);
+  void compressWindow();
 
-  void dispatchPending();
-
-  std::shared_ptr<Impl> impl_;
-  std::vector<uint8_t> pending_;   // the shard currently being filled
-  std::vector<uint32_t> shardCrcs_;
-  std::vector<uint32_t> shardLens_;
-  std::vector<std::shared_ptr<Job>> jobsDone_;  // dispatched, shard order
   ByteSink* out_;
+  Level level_;
+  int threads_;
+  std::vector<uint8_t> pending_;                // the shard being filled
+  std::vector<std::vector<uint8_t>> owned_;     // cut shards copied in
+  std::vector<std::span<const uint8_t>> window_;  // cut, not compressed
+  std::vector<std::vector<uint8_t>> blocks_;    // compressed, shard order
+  uint64_t rawBytes_ = 0;  // bytes of the compressed shards
+  uint32_t crc_ = 0;       // crc32 of the compressed shards' bytes
   bool finished_ = false;
 };
 

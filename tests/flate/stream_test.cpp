@@ -44,10 +44,12 @@ std::vector<uint8_t> streamed(std::span<const uint8_t> data, int threads,
   return sink.take();
 }
 
-// The tentpole invariant: the streaming compressor is byte-identical
-// to the one-shot compress() at every size class that exercises a
+// compress() hands the encoder its whole input through finish(last),
+// read in place; a streaming producer copies it in through append().
+// Both must give the same bytes at every size class that exercises a
 // different container layout, for every thread count, regardless of
-// how the input is sliced into append() calls.
+// how the input is sliced into append() calls. (FormatPins pins the
+// bytes themselves.)
 TEST(StreamingCompressor, ByteIdenticalToCompressAcrossSizesAndThreads) {
   const size_t sizes[] = {0,
                           1,
@@ -103,6 +105,27 @@ TEST(StreamingCompressor, LevelsPropagate) {
   }
 }
 
+// finish(last) after some appends copies `last` in behind the pending
+// bytes; with nothing appended it reads `last` where it lies. Either
+// way the container is the one for the concatenated input.
+TEST(StreamingCompressor, FinishWithTheLastBytesMatchesAppendThenFinish) {
+  const std::vector<uint8_t> data = testData(2 * kShardBytes + 321, 17);
+  const std::span<const uint8_t> in(data);
+  for (size_t head : {size_t{0}, size_t{1000}, kShardBytes, kShardBytes + 1}) {
+    for (int threads : {1, 4}) {
+      VectorSink sink;
+      StreamingCompressor sc(sink, Level::Default, threads);
+      sc.append(in.first(head));
+      const StreamingCompressor::Totals tot = sc.finish(in.subspan(head));
+      EXPECT_EQ(tot.rawBytes, data.size());
+      EXPECT_EQ(tot.crc, crc32(data));
+      EXPECT_EQ(tot.compressedBytes, sink.bytes().size());
+      EXPECT_EQ(sink.take(), streamed(data, threads, 1 << 16))
+          << "head=" << head << " threads=" << threads;
+    }
+  }
+}
+
 TEST(StreamingCompressor, FinishTwiceIsRejected) {
   VectorSink sink;
   StreamingCompressor sc(sink);
@@ -115,7 +138,8 @@ TEST(StreamingCompressor, AbandonedWithoutFinishIsSafe) {
   {
     StreamingCompressor sc(sink, Level::Default, /*threads=*/4);
     sc.append(testData(3 * kShardBytes, 5));
-    // Destroyed with shards still in flight: must not crash or hang.
+    // Destroyed with cut shards still uncompressed: must not crash,
+    // hang or leak.
   }
   SUCCEED();
 }

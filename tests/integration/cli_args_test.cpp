@@ -5,7 +5,8 @@
 // flag of `cyptrace` and `cyptraced` given anything but decimal digits,
 // or a value past its bound (INT_MAX for int flags, 2^64-1 for --seed
 // and merge's unsigned flags), and for a job id that is not a number.
-// `cyptrace run` of an unknown workload is a usage error too.
+// `cyptrace run` of an unknown workload is a usage error too, and so
+// is a flag the command does not read (`verify --journal F`).
 //
 // Also the read commands on a salvaged trace (one whose merge marked
 // some ranks lost): `stats` and `dump --otf` answer for the survivors
@@ -277,6 +278,24 @@ TEST(CliArgs, CyptraceRunRejectsAnUnknownWorkload) {
       << run.stderrText;  // the known workloads
   EXPECT_TRUE(run.stdoutText.empty()) << run.stdoutText;
   EXPECT_FALSE(fs::exists(out));
+}
+
+TEST(CliArgs, CyptraceRejectsAFlagTheCommandDoesNotRead) {
+  const std::string journal = tempPath("cyp-args-unread.cyj");
+  const std::vector<std::vector<std::string>> bad = {
+      {"verify", "JACOBI", "--procs", "4", "--journal", journal},
+      {"compare", "JACOBI", "--procs", "4", "--journal", journal},
+  };
+  for (const auto& args : bad) {
+    const ChildRun run = runChild(CYPTRACE_BIN, args);
+    EXPECT_EQ(run.exitCode, 2) << args[0];
+    EXPECT_NE(run.stderrText.find(args[0] + " does not accept --journal"),
+              std::string::npos)
+        << args[0] << ": " << run.stderrText;
+    EXPECT_TRUE(run.stdoutText.empty()) << args[0] << ": " << run.stdoutText;
+    EXPECT_FALSE(fs::exists(journal)) << args[0];
+    EXPECT_FALSE(fs::exists(journal + ".tmp")) << args[0];
+  }
 }
 
 }  // namespace

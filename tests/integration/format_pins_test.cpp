@@ -1,23 +1,38 @@
-// Byte pins for the three segment-log formats (CYJ1, CYL1, CYM1).
+// Byte pins for the three segment-log formats (CYJ1, CYL1, CYM1) and
+// for the CYF1 compressed container.
 //
-// Each sample below is built deterministically and compared against a
-// golden file committed under tests/data/pins/. The goldens
+// Each segment-log sample below is built deterministically and compared
+// against a golden file committed under tests/data/pins/. The goldens
 // were captured from the writers as they stood before the shared
 // segment-log module existed (manifest.cym was re-captured when CYM1
 // went to version 2), so any change to the frame, the headers or a
 // payload encoding shows up here as a byte diff. The readers must
 // also parse the pinned bytes back into the values that produced them.
+//
+// CYF1 is pinned by (container size, crc32 of the container) per
+// seeded input, captured from the codec as it stood while flate::compress
+// and the streaming compressor were still two separate writers, so the
+// pin holds the one encoder to those bytes at every thread count and
+// append granularity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "cypress/manifest.hpp"
+#include "flate/flate.hpp"
+#include "flate/stream.hpp"
 #include "service/ledger.hpp"
+#include "support/bytebuf.hpp"
 #include "support/io.hpp"
+#include "support/rng.hpp"
 #include "trace/journal.hpp"
 
 namespace cypress {
@@ -210,6 +225,89 @@ TEST(FormatPins, ManifestBytesAndParse) {
   ASSERT_TRUE(rec.final.has_value());
   EXPECT_EQ(rec.final->outPath, "out.cyp");
   EXPECT_EQ(rec.final->bytes, 999u);
+}
+
+/// Seeded, compressible CYF1 input: trace-like text records with one
+/// random byte in eight, so shards code as Huffman blocks.
+std::vector<uint8_t> cyf1Input(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    if (rng.below(8) == 0) {
+      out.push_back(static_cast<uint8_t>(rng.below(256)));
+      continue;
+    }
+    const std::string rec = "send peer=" + std::to_string(rng.below(64)) +
+                            " bytes=" + std::to_string(64 << rng.below(8)) +
+                            " tag=" + std::to_string(rng.below(4)) + "\n";
+    out.insert(out.end(), rec.begin(), rec.end());
+  }
+  out.resize(n);
+  return out;
+}
+
+struct Cyf1Pin {
+  size_t size;
+  flate::Level level;
+  uint64_t containerBytes;
+  uint32_t containerCrc;
+};
+
+constexpr Cyf1Pin kCyf1Pins[] = {
+    {0, flate::Level::Fast, 9, 0xa38257cau},
+    {0, flate::Level::Default, 9, 0xa38257cau},
+    {1, flate::Level::Fast, 11, 0x1b96d5b7u},
+    {1, flate::Level::Default, 11, 0x1b96d5b7u},
+    {4096, flate::Level::Fast, 824, 0x6e07a704u},
+    {4096, flate::Level::Default, 760, 0x5100b1fcu},
+    {flate::kShardBytes, flate::Level::Fast, 34044, 0xa8511e43u},
+    {flate::kShardBytes, flate::Level::Default, 27960, 0x6dc0542fu},
+    {flate::kShardBytes + 1, flate::Level::Fast, 33909, 0x4f5ee186u},
+    {flate::kShardBytes + 1, flate::Level::Default, 27878, 0xbe98ac3eu},
+    {3 * flate::kShardBytes + 7, flate::Level::Fast, 102058, 0xa44806e2u},
+    {3 * flate::kShardBytes + 7, flate::Level::Default, 83850, 0x1787039du},
+};
+
+std::string describe(const std::vector<uint8_t>& container) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%zu, 0x%08xu", container.size(),
+                flate::crc32(container));
+  return buf;
+}
+
+/// The same (size, crc) must come back from flate::compress at every
+/// thread count and from the streaming compressor fed one byte at a
+/// time or in 64 KiB appends.
+TEST(FormatPins, Cyf1ContainerBytes) {
+  for (const Cyf1Pin& pin : kCyf1Pins) {
+    const std::vector<uint8_t> data = cyf1Input(pin.size, pin.size + 1);
+    const std::string where =
+        "size " + std::to_string(pin.size) + " level " +
+        std::to_string(static_cast<int>(pin.level)) + ": ";
+    auto expectPinned = [&](const std::vector<uint8_t>& c,
+                            const std::string& how) {
+      EXPECT_EQ(c.size(), pin.containerBytes) << where << how << " got "
+                                              << describe(c);
+      EXPECT_EQ(flate::crc32(c), pin.containerCrc) << where << how << " got "
+                                                   << describe(c);
+    };
+    for (int threads : {1, 2, 4, 8})
+      expectPinned(flate::compress(data, pin.level, threads),
+                   "compress threads " + std::to_string(threads));
+    for (int threads : {1, 4}) {
+      for (size_t chunk : {size_t{1}, size_t{64 * 1024}}) {
+        VectorSink sink;
+        flate::StreamingCompressor sc(sink, pin.level, threads);
+        const std::span<const uint8_t> in(data);
+        for (size_t i = 0; i < in.size(); i += chunk)
+          sc.append(in.subspan(i, std::min(chunk, in.size() - i)));
+        sc.finish();
+        expectPinned(sink.take(), "stream threads " + std::to_string(threads) +
+                                      " chunk " + std::to_string(chunk));
+      }
+    }
+  }
 }
 
 }  // namespace

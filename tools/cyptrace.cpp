@@ -47,7 +47,8 @@
 //       summary | hist | matrix | colls | callsites src=A dst=B iter=K
 //       [loop=GID]. Prints one canonical JSON object; cost is
 //       O(compressed size), independent of the event count.
-//   cyptrace compare <workload> --procs N [--scale S]
+//   cyptrace compare <workload> --procs N [--scale S] [--threads T]
+//                    [--fault SPEC]... [--salvage]
 //       Run all tools side by side and print sizes/overheads.
 //   cyptrace stats <F.cyp>
 //       Print trace statistics + a comm-volume heat map, computed in the
@@ -57,12 +58,16 @@
 //   cyptrace diff <A.cyp> <B.cyp>
 //       Structural diff of two compressed traces of the same program.
 //   cyptrace verify <workload|file.mc|trace file> [--procs N] [--scale S]
+//                   [--threads T] [--fault SPEC]... [--salvage]
 //                   [--fuzz N] [--seed S]
 //       Roundtrip-verify traces. For a workload/source, run every tool
 //       and check serialize → deserialize → re-serialize byte stability
 //       plus decompression against the raw trace. For a trace file,
 //       check byte stability and (with --fuzz) corruption-fuzz the
 //       deserializer.
+//
+// Each command accepts only the flags listed for it above; any other
+// flag is a usage error (exit 2) naming the flag and the command.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -141,14 +146,46 @@ struct Args {
                "               (SPEC: summary | hist | matrix | colls |\n"
                "                callsites src=A dst=B iter=K [loop=GID])\n"
                "  cyptrace compare <workload> --procs N [--scale S] [--threads T]\n"
+               "               [--fault SPEC]... [--salvage]\n"
                "  cyptrace stats <F.cyp>\n"
                "  cyptrace diff <A.cyp> <B.cyp>\n"
                "  cyptrace verify <workload|file.mc|trace file> [--procs N] "
-               "[--scale S] [--fuzz N] [--seed S]\n"
+               "[--scale S] [--threads T]\n"
+               "               [--fault SPEC]... [--salvage] [--fuzz N] [--seed S]\n"
                "workloads: ");
   for (const auto& n : workloads::allNames()) std::fprintf(stderr, "%s ", n.c_str());
   std::fprintf(stderr, "\n");
   std::exit(2);
+}
+
+/// The flags each command's cmd* function reads (run, compare and
+/// verify also through runTarget). Any other flag is a usage error, so
+/// a flag a command would ignore never passes silently.
+const std::vector<std::string>* commandFlags(const std::string& command) {
+  static const std::vector<std::pair<std::string, std::vector<std::string>>>
+      table = {
+          {"run",
+           {"--procs", "--scale", "--threads", "--out", "--fault", "--journal",
+            "--salvage", "--emit-ranks", "--io-fault"}},
+          {"recover", {"--out", "--io-fault"}},
+          {"merge",
+           {"--out", "--merge-budget", "--batch-ranks", "--work-dir",
+            "--resume", "--degrade", "--io-fault", "--crash-after-steps",
+            "--keep-work"}},
+          {"info", {}},
+          {"dump", {"--rank", "--limit", "--otf"}},
+          {"replay", {"--net"}},
+          {"query", {"--threads"}},
+          {"compare", {"--procs", "--scale", "--threads", "--fault", "--salvage"}},
+          {"stats", {}},
+          {"diff", {}},
+          {"verify",
+           {"--procs", "--scale", "--threads", "--fault", "--salvage", "--fuzz",
+            "--seed"}},
+      };
+  for (const auto& [name, flags] : table)
+    if (name == command) return &flags;
+  return nullptr;
 }
 
 Args parse(int argc, char** argv) {
@@ -156,6 +193,8 @@ Args parse(int argc, char** argv) {
   if (argc < 3) usage();
   a.command = argv[1];
   a.target = argv[2];
+  const std::vector<std::string>* accepted = commandFlags(a.command);
+  if (accepted == nullptr) usage();
   int firstFlag = 3;
   if (a.command == "diff") {
     if (argc < 4) usage();
@@ -170,6 +209,11 @@ Args parse(int argc, char** argv) {
       if (!a.querySpec.empty()) a.querySpec += ' ';
       a.querySpec += flag;
       continue;
+    }
+    if (std::find(accepted->begin(), accepted->end(), flag) == accepted->end()) {
+      std::fprintf(stderr, "cyptrace: %s does not accept %s\n",
+                   a.command.c_str(), flag.c_str());
+      usage();
     }
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage();
