@@ -1,6 +1,7 @@
 #include "flate/stream.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "flate/block.hpp"
 #include "flate/lz77.hpp"
@@ -18,36 +19,86 @@ void writeHeader(ByteWriter& w, uint64_t rawBytes, uint32_t crc) {
   w.u32fixed(crc);
 }
 
+bool ready(const std::future<void>& done) {
+  return done.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+// Wait for a window on the pool, running queued pool tasks (the lanes
+// of this window or the next) meanwhile. Once the queue is empty the
+// window's task has started, and its parallelFor finishes its own
+// lanes, so blocking cannot deadlock.
+void await(std::future<void>& done) {
+  while (!ready(done) && ThreadPool::shared().tryRunOne()) {
+  }
+  done.get();  // rethrows a shard compression failure
+}
+
 }  // namespace
 
 StreamingCompressor::StreamingCompressor(ByteSink& out, Level level,
                                          int threads)
     : out_(&out), level_(level), threads_(std::max(threads, 1)) {}
 
-void StreamingCompressor::cut(std::span<const uint8_t> shard) {
-  window_.push_back(shard);
-  // One lane compresses each shard as it is cut; more lanes share
-  // windows of twice their count.
-  const size_t windowShards =
-      threads_ > 1 ? 2 * static_cast<size_t>(threads_) : 1;
-  if (window_.size() == windowShards) compressWindow();
+StreamingCompressor::~StreamingCompressor() {
+  // Abandoned mid-stream: the windows in flight still read flights_.
+  for (Flight& f : flights_) {
+    if (!f.done.valid()) continue;  // its failure was already thrown
+    try {
+      await(f.done);
+    } catch (...) {
+    }
+  }
 }
 
-void StreamingCompressor::compressWindow() {
+void StreamingCompressor::compress(Window& w, int lanes) const {
   const MatchParams mp = MatchParams::forChain(static_cast<int>(level_));
-  const size_t base = blocks_.size();
-  std::vector<uint32_t> crcs(window_.size());
-  blocks_.resize(base + window_.size());
-  parallelFor(window_.size(), threads_, [&](size_t i) {
-    blocks_[base + i] = detail::compressBlock(window_[i], mp);
-    crcs[i] = crc32(window_[i]);
+  w.blocks.resize(w.shards.size());
+  w.crcs.resize(w.shards.size());
+  parallelFor(w.shards.size(), lanes, [&](size_t i) {
+    w.blocks[i] = detail::compressBlock(w.shards[i], mp);
+    w.crcs[i] = crc32(w.shards[i]);
   });
-  for (size_t i = 0; i < window_.size(); ++i) {
-    crc_ = crc32Combine(crc_, crcs[i], window_[i].size());
-    rawBytes_ += window_[i].size();
+}
+
+void StreamingCompressor::retire(Window& w) {
+  for (size_t i = 0; i < w.shards.size(); ++i) {
+    crc_ = crc32Combine(crc_, w.crcs[i], w.shards[i].size());
+    rawBytes_ += w.shards[i].size();
+    blocks_.push_back(std::move(w.blocks[i]));
   }
-  window_.clear();
-  owned_.clear();
+  w = {};
+}
+
+void StreamingCompressor::land() {
+  await(flights_.front().done);
+  inFlight_ -= flights_.front().w.shards.size();
+  retire(flights_.front().w);
+  flights_.pop_front();
+}
+
+void StreamingCompressor::cut() {
+  if (threads_ <= 1) {
+    compress(open_, 1);
+    retire(open_);
+    return;
+  }
+  while (!flights_.empty() && ready(flights_.front().done)) land();
+  // The open window goes to the pool once it is full, or at once while
+  // fewer than `threads` shards are in flight, so idle workers start on
+  // the first shards as the producer serializes the rest.
+  if (inFlight_ >= static_cast<size_t>(threads_) &&
+      open_.shards.size() <= static_cast<size_t>(threads_))
+    return;
+  while (inFlight_ > static_cast<size_t>(threads_) + 1) land();
+  // One lane per shard: the pool's `threads` workers take them, and
+  // the producer runs what is left queued once it waits.
+  inFlight_ += open_.shards.size();
+  Flight& f = flights_.emplace_back();
+  f.w = std::move(open_);
+  open_ = {};
+  f.done = ThreadPool::shared().submit([this, w = &f.w] {
+    compress(*w, static_cast<int>(w->shards.size()));
+  });
 }
 
 void StreamingCompressor::append(std::span<const uint8_t> bytes) {
@@ -56,9 +107,10 @@ void StreamingCompressor::append(std::span<const uint8_t> bytes) {
     // Cut a full shard only once the NEXT byte arrives: an input of
     // exactly kShardBytes must stay single-block.
     if (pending_.size() == kShardBytes) {
-      owned_.push_back(std::move(pending_));
+      open_.owned.push_back(std::move(pending_));
       pending_ = {};
-      cut(owned_.back());
+      open_.shards.push_back(open_.owned.back());
+      cut();
     }
     if (pending_.capacity() == 0) pending_.reserve(kShardBytes);
     const size_t n = std::min(kShardBytes - pending_.size(), bytes.size());
@@ -79,7 +131,8 @@ StreamingCompressor::Totals StreamingCompressor::finish(
   finished_ = true;
   Totals t;
 
-  if (blocks_.empty() && window_.empty() && last.size() <= kShardBytes) {
+  if (blocks_.empty() && flights_.empty() && open_.shards.empty() &&
+      last.size() <= kShardBytes) {
     // Never exceeded one shard: the legacy single-block container, in
     // one write.
     t.rawBytes = last.size();
@@ -96,14 +149,23 @@ StreamingCompressor::Totals StreamingCompressor::finish(
     return t;
   }
 
-  // Framed container: the tail (1..kShardBytes bytes) is the last
-  // shard, and once it is compressed the totals are known.
+  // Framed container: the rest of the input, read in place, joins the
+  // open window whatever its length (no shard of it is copied), and the
+  // tail (1..kShardBytes bytes) is the last shard. The open window
+  // compresses here, beside the windows in flight; once all are done
+  // the totals are known. A producer's last window, like the ones it
+  // sent, has a lane more than `threads`: the pool's workers and this
+  // thread. flate::compress keeps `threads` lanes.
+  const bool streamed = !blocks_.empty() || !flights_.empty() ||
+                        !open_.shards.empty();
   while (last.size() > kShardBytes) {
-    cut(last.first(kShardBytes));
+    open_.shards.push_back(last.first(kShardBytes));
     last = last.subspan(kShardBytes);
   }
-  cut(last);
-  if (!window_.empty()) compressWindow();
+  open_.shards.push_back(last);
+  compress(open_, streamed && threads_ > 1 ? threads_ + 1 : threads_);
+  while (!flights_.empty()) land();
+  retire(open_);
   t.rawBytes = rawBytes_;
   t.crc = crc_;
 

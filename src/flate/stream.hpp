@@ -3,25 +3,36 @@
 // a VectorSink, so there is exactly one CYF1 writer.
 //
 // StreamingCompressor is a ByteSink a producer serializes straight
-// into. Bytes are cut into kShardBytes shards; full shards collect in
-// a window of at most 2x`threads` raw shards, and each window is CRC'd
-// and compressed by one parallelFor() call (a fresh LZ77 window per
-// shard: the CYF1 kind-2 framing). A shard's raw bytes are freed once
-// its block exists, so peak memory is one window plus the compressed
-// blocks, not the trace. With `threads <= 1` the window holds one
-// shard, which compresses as soon as it is cut.
+// into. Bytes are cut into kShardBytes shards, which collect in an open
+// window. The window goes to the shared pool as one task once it holds
+// `threads`+1 shards, or as soon as a shard is cut while fewer than
+// `threads` shards are in flight, so idle workers start on the first
+// shards while the producer serializes the rest. The task's
+// parallelFor() CRCs and compresses the window's shards, one lane each
+// (a fresh LZ77 window per shard: the CYF1 kind-2 framing). Before a
+// window would put more than 2x(`threads`+1) shards in flight, the
+// producer waits for the oldest windows, running queued lanes
+// meanwhile. So the pool's `threads` workers compress, and so does the
+// producer whenever it waits. A window's raw shards are freed once its
+// blocks exist, so peak memory is 3x(`threads`+1) raw shards plus the
+// compressed blocks, not the trace. With `threads <= 1` a shard
+// compresses as soon as it is cut, on the producer's thread.
 //
-// finish() compresses the last window and the tail, then writes the
-// container header (total size and the crc32Combine fold of the
-// per-shard CRCs) and the blocks in shard order. The bytes are a pure
-// function of the input: shard boundaries depend only on its size,
-// each block only on its shard, and `threads` only on how many blocks
-// compress at once — never on how the input was sliced into append()
-// calls. Inputs that never exceed one shard take the legacy
-// single-block layout.
+// finish(last) compresses the open window and the rest of the input on
+// the calling thread (one parallelFor beside the windows in flight:
+// `threads`+1 lanes after append(), `threads` lanes for
+// flate::compress), then writes the container header (total size and
+// the crc32Combine fold of the per-shard CRCs) and the blocks in shard
+// order. The bytes are a pure function of the input: shard boundaries
+// depend only on its size, each block only on its shard, and `threads`
+// only on how many blocks compress at once — never on how the input
+// was sliced into append() calls. Inputs that never exceed one shard
+// take the legacy single-block layout.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <future>
 #include <span>
 #include <vector>
 
@@ -65,16 +76,18 @@ class StreamingCompressor final : public ByteSink {
   };
 
   /// Compressed output goes to `out` (only during finish(), on the
-  /// calling thread — `out` needs no thread safety). `threads` lanes of
-  /// the shared pool compress each window of shards.
+  /// calling thread — `out` needs no thread safety). `threads` sizes
+  /// the windows and their lanes, as described above.
   explicit StreamingCompressor(ByteSink& out, Level level = Level::Default,
                                int threads = 1);
+  /// Waits for the windows in flight, if the stream was abandoned.
+  ~StreamingCompressor() override;
 
   StreamingCompressor(const StreamingCompressor&) = delete;
   StreamingCompressor& operator=(const StreamingCompressor&) = delete;
 
-  /// Feed input bytes. Cuts full shards; a full window compresses
-  /// before append() returns.
+  /// Feed input bytes. Cuts full shards and sends windows to the pool
+  /// as described above.
   void append(std::span<const uint8_t> bytes) override;
 
   /// Write the container into the downstream sink. `last`, if given,
@@ -85,18 +98,32 @@ class StreamingCompressor final : public ByteSink {
   Totals finish(std::span<const uint8_t> last = {});
 
  private:
-  void cut(std::span<const uint8_t> shard);
-  void compressWindow();
+  struct Window {
+    std::vector<std::vector<uint8_t>> owned;       // shards copied in
+    std::vector<std::span<const uint8_t>> shards;  // into owned or `last`
+    std::vector<std::vector<uint8_t>> blocks;      // one per shard
+    std::vector<uint32_t> crcs;                    // one per shard
+  };
+  struct Flight {
+    Window w;
+    std::future<void> done;  // ready once w's blocks exist
+  };
+
+  void compress(Window& w, int lanes) const;  // fills blocks and crcs
+  void retire(Window& w);  // folds w into the totals and blocks_
+  void land();             // waits for and retires the oldest flight
+  void cut();              // a shard just joined open_
 
   ByteSink* out_;
   Level level_;
   int threads_;
-  std::vector<uint8_t> pending_;                // the shard being filled
-  std::vector<std::vector<uint8_t>> owned_;     // cut shards copied in
-  std::vector<std::span<const uint8_t>> window_;  // cut, not compressed
-  std::vector<std::vector<uint8_t>> blocks_;    // compressed, shard order
-  uint64_t rawBytes_ = 0;  // bytes of the compressed shards
-  uint32_t crc_ = 0;       // crc32 of the compressed shards' bytes
+  std::vector<uint8_t> pending_;              // the shard being filled
+  Window open_;                               // cut, not yet sent
+  std::deque<Flight> flights_;                // on the pool, oldest first
+  size_t inFlight_ = 0;                       // shards in flights_
+  std::vector<std::vector<uint8_t>> blocks_;  // compressed, shard order
+  uint64_t rawBytes_ = 0;  // bytes of the retired shards
+  uint32_t crc_ = 0;       // crc32 of the retired shards' bytes
   bool finished_ = false;
 };
 

@@ -267,6 +267,8 @@ constexpr Cyf1Pin kCyf1Pins[] = {
     {flate::kShardBytes + 1, flate::Level::Default, 27878, 0xbe98ac3eu},
     {3 * flate::kShardBytes + 7, flate::Level::Fast, 102058, 0xa44806e2u},
     {3 * flate::kShardBytes + 7, flate::Level::Default, 83850, 0x1787039du},
+    {9 * flate::kShardBytes + 5, flate::Level::Fast, 306308, 0xa2305455u},
+    {9 * flate::kShardBytes + 5, flate::Level::Default, 251548, 0x89300932u},
 };
 
 std::string describe(const std::vector<uint8_t>& container) {
@@ -278,7 +280,9 @@ std::string describe(const std::vector<uint8_t>& container) {
 
 /// The same (size, crc) must come back from flate::compress at every
 /// thread count and from the streaming compressor fed one byte at a
-/// time or in 64 KiB appends.
+/// time or in 64 KiB appends. Ten shards at 2 threads fill more than
+/// one window, so the producer sends windows while others are in
+/// flight and waits for the oldest.
 TEST(FormatPins, Cyf1ContainerBytes) {
   for (const Cyf1Pin& pin : kCyf1Pins) {
     const std::vector<uint8_t> data = cyf1Input(pin.size, pin.size + 1);
@@ -295,7 +299,7 @@ TEST(FormatPins, Cyf1ContainerBytes) {
     for (int threads : {1, 2, 4, 8})
       expectPinned(flate::compress(data, pin.level, threads),
                    "compress threads " + std::to_string(threads));
-    for (int threads : {1, 4}) {
+    for (int threads : {1, 2, 4}) {
       for (size_t chunk : {size_t{1}, size_t{64 * 1024}}) {
         VectorSink sink;
         flate::StreamingCompressor sc(sink, pin.level, threads);
